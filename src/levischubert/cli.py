@@ -6,13 +6,17 @@ are comma-separated simple-root indices ("1,3,4"); ``--d k`` selects the
 Grassmannian quotient omitting only position k.
 
 Exit codes: 0 ok, 1 violation found in a verification sweep, 2 usage
-error, 3 rank limit exceeded.
+error (a bound that yields no instances included), 3 rank limit exceeded,
+4 internal error (any other exception, such as a failed invariant
+self-check).  A reader that closes stdout early ends the run quietly with
+141, the status of a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -122,7 +126,7 @@ def _cmd_analyze(args) -> int:
         "minimal_head": list(levi.minimal_head(J, I, n)),
         "heads": [list(h) for h in report.heads],
         "maximal_proper_heads": [list(h) for h in report.maximal_proper_heads],
-        "boundary": ([list(h) for h in sorted(levi.boundary(w, J, I))]
+        "boundary": ([list(h) for h in sorted(report.maximal_proper_heads)]
                      if I <= stab else None),
     }
     _emit(out, args.format)
@@ -176,6 +180,8 @@ def _cmd_sweep(args) -> int:
             violations += 1
         if args.format == "json":
             print(canonical_json(record))
+    if not instances:
+        raise ValueError(f"--max-n {bound} yields no {args.check} instances")
     if args.format == "json":
         print(canonical_json({"check": args.check, "instances": instances,
                               "violations": violations}))
@@ -191,6 +197,8 @@ def _cmd_classify(args) -> int:
         instances += 1
         if not record["ok"]:
             violations += 1
+    if not instances:
+        raise ValueError(f"--max-m {args.max_m} yields no classify-codim instances")
     out = {
         "families": [f.to_json() for f in classify.case_families()],
         "sweep": {"max_m": args.max_m, "instances": instances,
@@ -217,13 +225,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed pipe must surface here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; silence the flush at interpreter exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as for a process the signal killed
     except weyl.RankLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

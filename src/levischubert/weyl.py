@@ -131,19 +131,6 @@ def support(w: Perm) -> frozenset[int]:
     return frozenset(out)
 
 
-def reduced_word(w: Perm) -> tuple[int, ...]:
-    """One reduced word for ``w``, extracted by unsorting from the right."""
-    w = tuple(w)
-    word = []
-    while True:
-        d = next((i for i in range(1, len(w)) if w[i - 1] > w[i]), None)
-        if d is None:
-            break
-        w = mult_right(w, d)
-        word.append(d)
-    return tuple(reversed(word))
-
-
 def bruhat_leq(u: Perm, w: Perm) -> bool:
     """Bruhat-Chevalley comparison via the sorted-prefix criterion:
     ``u <= w`` iff every sorted prefix of ``u`` is entrywise at most the
@@ -238,12 +225,42 @@ def longest_element(J: Iterable[int], n: int) -> Perm:
 @lru_cache(maxsize=None)
 def _quotient_reps(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     _check_rank(n)
-    return tuple(w for w in itertools.permutations(range(1, n + 1))
-                 if not (right_descents(w) & J))
+    # segments of positions as (is a J-block, size): a J-block must increase,
+    # a run of singleton blocks is unconstrained
+    segments: list[tuple[bool, int]] = []
+    for lo, hi in position_blocks(J, n):
+        if hi > lo:
+            segments.append((True, hi - lo + 1))
+        elif segments and not segments[-1][0]:
+            segments[-1] = (False, segments[-1][1] + 1)
+        else:
+            segments.append((False, 1))
+    # fixed-length prefixes, each paired with its unused values, in lex order
+    level: list[tuple[Perm, Perm]] = [((), tuple(range(1, n + 1)))]
+    *head, (last_is_block, _) = segments
+    for is_block, size in head:
+        pick = itertools.combinations if is_block else itertools.permutations
+        level = [(prefix + chosen, tuple(v for v in rest if v not in chosen))
+                 for prefix, rest in level for chosen in pick(rest, size)]
+    if last_is_block:
+        return tuple(prefix + rest for prefix, rest in level)
+    return tuple(prefix + tail for prefix, rest in level
+                 for tail in itertools.permutations(rest))
 
 
 def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
-    """All of ``W^J`` in lexicographic order."""
+    """All of ``W^J`` in lexicographic order.
+
+    ``W^J`` is listed block by block rather than filtered out of all
+    ``n!`` permutations: its elements are exactly the permutations that
+    increase on each position block of ``J``, so each block draws an
+    increasing selection of the values still unused.  The cost is
+    proportional to ``|W^J|``.  Ranks above :data:`RANK_LIMIT` are still
+    refused, however small the quotient.
+
+    >>> quotient_reps(3, {1})
+    ((1, 2, 3), (1, 3, 2), (2, 3, 1))
+    """
     return _quotient_reps(n, frozenset(J))
 
 

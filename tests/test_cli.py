@@ -1,8 +1,13 @@
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from levischubert import cli, sweeps
+from levischubert import cli, levi, sweeps
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +66,18 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["stable"] is False
         assert data["boundary"] is None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_boundary_matches_levi_boundary(self, capsys, n):
+        for w in itertools.permutations(range(1, n + 1)):
+            stab = sorted(levi.max_levi(w))
+            for I in (stab, stab[:1]):
+                code, out, _ = run_cli(
+                    capsys, "analyze", "--n", str(n), "--w",
+                    ",".join(map(str, w)), "--levi", ",".join(map(str, I)))
+                assert code == 0
+                expected = [list(h) for h in sorted(levi.boundary(w, (), I))]
+                assert json.loads(out)["boundary"] == expected
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
@@ -156,6 +173,33 @@ class TestSweep:
         assert code == 3
         assert "limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--check", "head-oracle", "--max-n", "0"],
+        ["sweep", "--check", "head-oracle", "--max-n", "1"],
+        ["sweep", "--check", "head-oracle", "--max-n", "-3"],
+        ["sweep", "--check", "classify-codim", "--max-n", "1"],
+        ["classify", "--max-m", "-4"],
+    ])
+    def test_vacuous_bound_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "yields no" in err
+
+    def test_closed_pipe_ends_quietly(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "levischubert.cli", "sweep",
+             "--check", "head-oracle", "--max-n", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first["check"] == "head-oracle"
+        assert err == b""
+        assert proc.returncode == 141
+
     def test_unknown_check_rejected(self, capsys):
         assert cli.main(["sweep", "--check", "nonsense"]) == 2
 
@@ -168,6 +212,20 @@ class TestSweep:
                                "--format", "text")
         assert code == 1
         assert "1 disagreements" in out
+
+
+class TestInternalError:
+    def test_failed_self_check_exits_four(self, capsys, monkeypatch):
+        def broken(tau, J, I):
+            raise RuntimeError(f"head set below {tau} has no unique minimum")
+        monkeypatch.setattr(levi, "heads_below", broken)
+        code, out, err = run_cli(
+            capsys, "analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2")
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal: RuntimeError: "
+            "head set below (3, 4, 1, 2) has no unique minimum"]
 
 
 class TestClassifyCommand:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import weyl
@@ -111,6 +112,19 @@ class TestCosetReps:
             assert weyl.in_parabolic(x, {2, 3})
 
 
+class TestQuotientReps:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_filter_oracle_in_order(self, n):
+        for r in range(n):
+            for J in itertools.combinations(range(1, n), r):
+                assert list(weyl.quotient_reps(n, J)) == oracles.quotient_perms(n, J)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sets(st.integers(min_value=1, max_value=7)))
+    def test_matches_filter_oracle_at_rank_8(self, J):
+        assert list(weyl.quotient_reps(8, J)) == oracles.quotient_perms(8, J)
+
+
 class TestLowerCovers:
     def test_identity_has_none(self):
         assert weyl.lower_covers((1, 2, 3)) == frozenset()
@@ -182,8 +196,10 @@ class TestPoincare:
 
 class TestRankLimit:
     def test_quotient_reps_capped(self):
-        with pytest.raises(weyl.RankLimitError):
-            weyl.quotient_reps(9)
+        # the cap holds however small W^J is: W^{1..8} has one element
+        for J in ((), {1, 3, 5, 7}, range(1, 9)):
+            with pytest.raises(weyl.RankLimitError):
+                weyl.quotient_reps(9, J)
 
     def test_limit_is_a_value_error(self):
         assert issubclass(weyl.RankLimitError, ValueError)
