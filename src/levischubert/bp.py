@@ -203,8 +203,7 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
     the decomposition does not factor are reported but never certify.
     """
     J, I = frozenset(J), frozenset(I)
-    if not levi.is_stable(w, J, I):
-        raise ValueError(f"{w} is not stable under the Levi of {sorted(I)}")
+    levi.require_stable(w, J, I)
     n = len(w)
     steps = []
     for d in range(1, n):

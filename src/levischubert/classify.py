@@ -1,6 +1,11 @@
 """Bookkeeping for the three families of Picard-number-one horospherical
 homogeneous spaces, and the dimension counts showing that their two closed
-orbits sit in codimension at least two."""
+orbits sit in codimension at least two.
+
+:data:`FAMILIES` is the one table of the families: their Dynkin type, the
+least ``m`` and whether a member takes a second parameter ``i``.  Member
+validation and :func:`iter_cases` read it; nothing else restates it.
+"""
 
 from __future__ import annotations
 
@@ -43,9 +48,7 @@ FAMILIES: tuple[CaseFamily, ...] = (
 )
 
 
-def case_families() -> tuple[CaseFamily, ...]:
-    """The three families with their parameter constraints."""
-    return FAMILIES
+_BY_TAG = {f.tag: f for f in FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -57,27 +60,20 @@ class HorosphericalCase:
     i: Optional[int] = None
 
     def __post_init__(self):
-        if self.tag == "a":
-            if self.m < 2:
-                raise ValueError("family a requires m >= 2")
-            if self.i is not None:
-                raise ValueError("family a takes no parameter i")
-        elif self.tag == "b":
-            if self.m < 3:
-                raise ValueError("family b requires m >= 3")
-            if self.i is None or not 1 <= self.i <= self.m - 1:
-                raise ValueError("family b requires 1 <= i <= m-1")
-        elif self.tag == "c":
-            if self.m < 4:
-                raise ValueError("family c requires m >= 4")
-            if self.i is not None:
-                raise ValueError("family c takes no parameter i")
-        else:
+        family = _BY_TAG.get(self.tag)
+        if family is None:
             raise ValueError(f"unknown family tag {self.tag!r}")
+        if self.m < family.min_m:
+            raise ValueError(f"family {self.tag} requires m >= {family.min_m}")
+        if not family.needs_i:
+            if self.i is not None:
+                raise ValueError(f"family {self.tag} takes no parameter i")
+        elif self.i is None or not 1 <= self.i <= self.m - 1:
+            raise ValueError(f"family {self.tag} requires 1 <= i <= m-1")
 
     @property
     def dynkin(self) -> str:
-        return "D" if self.tag == "c" else "A"
+        return _BY_TAG[self.tag].dynkin
 
     def homogeneous_space(self) -> str:
         if self.tag == "a":
@@ -122,11 +118,9 @@ def codim_at_least_two(case: HorosphericalCase) -> bool:
 
 
 def iter_cases(max_m: int) -> Iterator[HorosphericalCase]:
-    """Every valid parameterization with m up to ``max_m``."""
-    for m in range(2, max_m + 1):
-        yield HorosphericalCase("a", m)
-    for m in range(3, max_m + 1):
-        for i in range(1, m):
-            yield HorosphericalCase("b", m, i)
-    for m in range(4, max_m + 1):
-        yield HorosphericalCase("c", m)
+    """Every valid parameterization with m up to ``max_m``, family by
+    family in table order."""
+    for family in FAMILIES:
+        for m in range(family.min_m, max_m + 1):
+            for i in (range(1, m) if family.needs_i else (None,)):
+                yield HorosphericalCase(family.tag, m, i)

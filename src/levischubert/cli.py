@@ -42,70 +42,85 @@ def build_parser() -> argparse.ArgumentParser:
         description="Levi actions on type A Schubert varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_flags(p, levi_flag=True):
+    def instance_command(name, summary, run, add_flags):
+        """A subcommand on one instance: ``--n`` and ``--w``, the flags
+        ``add_flags`` adds, then ``--format``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help="rank of GL_n")
         p.add_argument("--w", required=True,
                        help="permutation in one-line notation, e.g. 3,4,1,2")
+        add_flags(p)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+
+    def quotient_levi_flags(p):
         group = p.add_mutually_exclusive_group()
         group.add_argument("--d", type=int,
                            help="Grassmannian quotient: parabolic omitting d")
         group.add_argument("--parabolic", default="",
                            help="parabolic subset as indices, e.g. 1,3")
-        if levi_flag:
-            p.add_argument("--levi", default="",
-                           help="Levi simple roots as indices, e.g. 1,3,4")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--levi", default="",
+                       help="Levi simple roots as indices, e.g. 1,3,4")
 
-    p = sub.add_parser("analyze", help="stability, heads and boundary of one instance")
-    instance_flags(p)
+    def toroidal_flags(p):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--levi", default="")
 
-    p = sub.add_parser("heads", help="degree-1 heads below one element")
-    instance_flags(p)
+    def bp_flags(p):
+        p.add_argument("--parabolic", default="", help="the finer parabolic J")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--d", type=int,
+                           help="decompose at the maximal parabolic omitting d")
+        group.add_argument("--quotient", help="the coarser parabolic K as indices")
 
-    p = sub.add_parser("toroidal", help="necessary toroidality conditions in a Grassmannian")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--levi", default="")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("bp", help="parabolic decomposition and factorization tests")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--parabolic", default="", help="the finer parabolic J")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=int,
-                       help="decompose at the maximal parabolic omitting d")
-    group.add_argument("--quotient", help="the coarser parabolic K as indices")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    instance_command("analyze", "stability, heads and boundary of one instance",
+                     _cmd_analyze, quotient_levi_flags)
+    instance_command("heads", "degree-1 heads below one element", _cmd_heads,
+                     quotient_levi_flags)
+    instance_command("toroidal", "necessary toroidality conditions in a Grassmannian",
+                     _cmd_toroidal, toroidal_flags)
+    instance_command("bp", "parabolic decomposition and factorization tests",
+                     _cmd_bp, bp_flags)
 
     p = sub.add_parser("sweep", help="exhaustive verification sweeps")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--check", required=True, choices=sorted(sweeps.SWEEPS))
     p.add_argument("--max-n", type=int, default=None,
                    help="rank bound (m bound for classify-codim)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("classify", help="the rank-one horospherical table")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--max-m", type=int, default=1000)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     return parser
 
 
-def _parse_instance(args) -> tuple[int, weyl.Perm, frozenset[int], frozenset[int]]:
+def _parse_w(args) -> tuple[int, weyl.Perm]:
     n = args.n
     if n < 1:
         raise ValueError("--n must be positive")
     w = weyl.parse_perm(args.w)
     if len(w) != n:
         raise ValueError(f"--w has {len(w)} entries; expected {n}")
-    if getattr(args, "d", None) is not None:
-        if not 1 <= args.d < n:
-            raise ValueError(f"--d must lie in 1..{n - 1}")
-        J = frozenset(range(1, n)) - {args.d}
+    return n, w
+
+
+def _omitting(d: int, n: int) -> frozenset[int]:
+    """The maximal parabolic omitting ``--d``."""
+    if not 1 <= d < n:
+        raise ValueError(f"--d must lie in 1..{n - 1}")
+    return frozenset(range(1, n)) - {d}
+
+
+def _parse_instance(args) -> tuple[int, weyl.Perm, frozenset[int], frozenset[int]]:
+    n, w = _parse_w(args)
+    if args.d is not None:
+        J = _omitting(args.d, n)
     else:
-        J = weyl.parse_parabolic(getattr(args, "parabolic", ""), n)
-    I = weyl.parse_parabolic(getattr(args, "levi", ""), n)
+        J = weyl.parse_parabolic(args.parabolic, n)
+    I = weyl.parse_parabolic(args.levi, n)
     weyl.require_quotient(w, J)
     return n, w, J, I
 
@@ -148,22 +163,34 @@ def _cmd_toroidal(args) -> int:
 
 
 def _cmd_bp(args) -> int:
-    n = args.n
-    w = weyl.parse_perm(args.w)
-    if len(w) != n:
-        raise ValueError(f"--w has {len(w)} entries; expected {n}")
+    n, w = _parse_w(args)
     J = weyl.parse_parabolic(args.parabolic, n)
     if args.d is not None:
-        if not 1 <= args.d < n:
-            raise ValueError(f"--d must lie in 1..{n - 1}")
+        K = _omitting(args.d, n)
         if args.d in J:
             raise ValueError("--d must lie outside the finer parabolic")
-        K = frozenset(range(1, n)) - {args.d}
     else:
         K = weyl.parse_parabolic(args.quotient, n)
     result = bp.decompose(w, J, K)
     _emit(result.to_json(), args.format)
     return 0
+
+
+def _tally(records, bound: str, check: str, echo: bool) -> tuple[int, int]:
+    """Count a sweep's records and its violations, printing each record as
+    a JSON line when ``echo``.  A sweep that yields no record is a usage
+    error: ``bound`` names the flag and value that made it vacuous."""
+    instances = 0
+    violations = 0
+    for record in records:
+        instances += 1
+        if not record["ok"]:
+            violations += 1
+        if echo:
+            print(canonical_json(record))
+    if not instances:
+        raise ValueError(f"{bound} yields no {check} instances")
+    return instances, violations
 
 
 def _cmd_sweep(args) -> int:
@@ -172,16 +199,8 @@ def _cmd_sweep(args) -> int:
     if is_rank and bound > weyl.RANK_LIMIT:
         raise weyl.RankLimitError(
             f"--max-n {bound} exceeds the enumeration limit {weyl.RANK_LIMIT}")
-    instances = 0
-    violations = 0
-    for record in fn(bound):
-        instances += 1
-        if not record["ok"]:
-            violations += 1
-        if args.format == "json":
-            print(canonical_json(record))
-    if not instances:
-        raise ValueError(f"--max-n {bound} yields no {args.check} instances")
+    instances, violations = _tally(fn(bound), f"--max-n {bound}", args.check,
+                                   echo=args.format == "json")
     if args.format == "json":
         print(canonical_json({"check": args.check, "instances": instances,
                               "violations": violations}))
@@ -191,31 +210,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    instances = 0
-    violations = 0
-    for record in sweeps.classify_codim(args.max_m):
-        instances += 1
-        if not record["ok"]:
-            violations += 1
-    if not instances:
-        raise ValueError(f"--max-m {args.max_m} yields no classify-codim instances")
+    instances, violations = _tally(sweeps.classify_codim(args.max_m),
+                                   f"--max-m {args.max_m}", "classify-codim",
+                                   echo=False)
     out = {
-        "families": [f.to_json() for f in classify.case_families()],
+        "families": [f.to_json() for f in classify.FAMILIES],
         "sweep": {"max_m": args.max_m, "instances": instances,
                   "violations": violations},
     }
     _emit(out, args.format)
     return 1 if violations else 0
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "heads": _cmd_heads,
-    "toroidal": _cmd_toroidal,
-    "bp": _cmd_bp,
-    "sweep": _cmd_sweep,
-    "classify": _cmd_classify,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -225,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         # a closed pipe must surface here, not in the flush at exit
         sys.stdout.flush()
         return code

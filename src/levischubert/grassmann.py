@@ -31,9 +31,7 @@ class GrassmannSchubert:
             raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {n}")
         if not weyl.is_permutation(self.w):
             raise ValueError(f"{self.w} is not a permutation")
-        window, suffix = self.w[:self.d], self.w[self.d:]
-        if any(a > b for a, b in zip(window, window[1:])) or \
-           any(a > b for a, b in zip(suffix, suffix[1:])):
+        if not weyl.in_quotient(self.w, self.quotient):
             raise ValueError(f"{self.w} is not Grassmann at d={self.d}")
 
     @property

@@ -2,12 +2,15 @@
 stability test, degree-1 heads, head enumeration, and boundaries.
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
-its complement cuts ``{1..n}`` into consecutive blocks and the Levi is the
-corresponding block-diagonal subgroup.  A Schubert variety is stable under
-that Levi iff every generator ``s_i`` with ``i in I`` maps it into itself,
-which :func:`max_levi` decides one reflection at a time.  A *degree-1 head*
-below ``tau`` is any ``theta <= tau`` in ``W^J`` whose Schubert variety is
-itself Levi-stable; heads detect Levi orbits.
+its complement cuts ``{1..n}`` into consecutive blocks (the position blocks
+of :func:`weyl.position_blocks`, read as sets of values) and the Levi is
+the corresponding block-diagonal subgroup.  A Schubert variety is stable
+under that Levi iff every generator ``s_i`` with ``i in I`` maps it into
+itself, which :func:`max_levi` decides one reflection at a time;
+:func:`require_stable` is the one guard for operations defined only on
+stable varieties.  A *degree-1 head* below ``tau`` is any ``theta <= tau``
+in ``W^J`` whose Schubert variety is itself Levi-stable; heads detect Levi
+orbits.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import weyl
+from .grassmann import GrassmannSchubert
 from .weyl import Perm
 
 
@@ -44,16 +48,8 @@ def blocks(I: Iterable[int], n: int) -> LeviBlocks:
     ((1, 2), (3, 4, 5), (6,), (7, 8))
     """
     I = frozenset(I)
-    if I and not I <= set(range(1, n)):
-        raise ValueError(f"Levi indices must lie in 1..{n - 1}")
-    comp = sorted(set(range(1, n)) - I)
-    parts = []
-    lo = 1
-    for j in comp:
-        parts.append(tuple(range(lo, j + 1)))
-        lo = j + 1
-    parts.append(tuple(range(lo, n + 1)))
-    return LeviBlocks(I, n, tuple(parts))
+    return LeviBlocks(I, n, tuple(tuple(range(lo, hi + 1))
+                                  for lo, hi in weyl.position_blocks(I, n)))
 
 
 @lru_cache(maxsize=None)
@@ -91,27 +87,28 @@ def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
     return frozenset(I) <= max_levi(theta, J)
 
 
-def is_degree1_head(theta: Perm, d: int, I: Iterable[int]) -> bool:
-    """Block criterion for Grassmann permutations: ``theta`` indexes a
+def require_stable(w: Perm, J: Iterable[int], I: Iterable[int]) -> None:
+    """Refuse ``w`` unless its variety in the quotient by ``J`` is stable
+    under the Levi of ``I``."""
+    if not is_stable(w, J, I):
+        raise ValueError(f"{w} is not stable under the Levi of {sorted(frozenset(I))}")
+
+
+def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
+    """Block criterion for Grassmann permutations: ``x`` indexes a
     Levi-stable variety in Gr(d, n) iff its column values meet every Levi
     block in that block's top segment.
 
-    >>> is_degree1_head((2, 4, 1, 3), 2, {1})
+    >>> is_degree1_head(GrassmannSchubert(2, (2, 4, 1, 3)), {1})
     True
-    >>> is_degree1_head((1, 4, 2, 3), 2, {1})
+    >>> is_degree1_head(GrassmannSchubert(2, (1, 4, 2, 3)), {1})
     False
     """
-    n = len(theta)
-    if not 1 <= d < n:
-        raise ValueError(f"descent position d={d} must satisfy 1 <= d < {n}")
-    window, suffix = theta[:d], theta[d:]
-    if any(a > b for a, b in zip(window, window[1:])) or \
-       any(a > b for a, b in zip(suffix, suffix[1:])):
-        raise ValueError(f"{theta} is not Grassmann at d={d}")
-    cols = set(window)
-    for block in blocks(I, n).blocks:
-        hit = cols.intersection(block)
-        if hit and hit != set(block[len(block) - len(hit):]):
+    cols = set(x.columns)
+    for lo, hi in weyl.position_blocks(I, x.n):
+        hit = cols.intersection(range(lo, hi + 1))
+        # k values of [lo, hi] form its top segment iff the least is hi + 1 - k
+        if hit and min(hit) != hi + 1 - len(hit):
             return False
     return True
 
@@ -190,6 +187,5 @@ def boundary(w: Perm, J: Iterable[int], I: Iterable[int]) -> frozenset[Perm]:
     Empty exactly when the Levi acts with a dense orbit whose closure is
     the whole variety (e.g. for the minimal head itself).
     """
-    if not is_stable(w, J, I):
-        raise ValueError(f"{w} is not stable under the Levi of {sorted(frozenset(I))}")
+    require_stable(w, J, I)
     return frozenset(heads_below(w, J, I).maximal_proper_heads)

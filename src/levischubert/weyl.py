@@ -98,21 +98,6 @@ def left_descents(w: Perm) -> frozenset[int]:
     return right_descents(inverse(w))
 
 
-def descents(w: Perm, side: str = "right") -> frozenset[int]:
-    """Descent set on the requested side.
-
-    >>> sorted(descents((3, 4, 1, 2), "right"))
-    [2]
-    >>> sorted(descents((3, 4, 1, 2), "left"))
-    [2]
-    """
-    if side == "right":
-        return right_descents(w)
-    if side == "left":
-        return left_descents(w)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def support(w: Perm) -> frozenset[int]:
     """Indices ``i`` with ``s_i <= w``: the letters of every reduced word.
 

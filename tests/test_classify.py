@@ -6,14 +6,14 @@ from levischubert.classify import HorosphericalCase
 
 class TestFamilies:
     def test_three_families(self):
-        fams = classify.case_families()
+        fams = classify.FAMILIES
         assert [f.tag for f in fams] == ["a", "b", "c"]
         assert [f.dynkin for f in fams] == ["A", "A", "D"]
         assert [f.min_m for f in fams] == [2, 3, 4]
         assert [f.needs_i for f in fams] == [False, True, False]
 
     def test_family_json_mentions_spaces(self):
-        spaces = [f.to_json()["space"] for f in classify.case_families()]
+        spaces = [f.to_json()["space"] for f in classify.FAMILIES]
         assert spaces == ["SO(2m+2)/P(omega_1)", "Gr(i+1, m+2)",
                           "Spin(2m+1)/P(omega_m)"]
 

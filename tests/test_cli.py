@@ -29,6 +29,10 @@ class TestParsing:
     def test_wrong_length(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--n", "5", "--w", "3,4,1,2")
         assert code == 2
+        # a non-positive rank is refused before --w is measured against it
+        code, _, err = run_cli(capsys, "bp", "--n", "0", "--w", "1", "--d", "1")
+        assert code == 2
+        assert "--n must be positive" in err
 
     def test_not_a_coset_representative(self, capsys):
         code, _, err = run_cli(

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levischubert import grassmann, levi, weyl
+from levischubert.grassmann import GrassmannSchubert
 
 
 def subsets(n):
@@ -75,11 +77,7 @@ class TestHeadCriterion:
         ((3, 4, 1, 2), 2, {1}, True),
     ])
     def test_frozen(self, theta, d, I, expected):
-        assert levi.is_degree1_head(theta, d, I) is expected
-
-    def test_rejects_non_grassmann(self):
-        with pytest.raises(ValueError):
-            levi.is_degree1_head((2, 1, 3), 2, {1})
+        assert levi.is_degree1_head(GrassmannSchubert(d, theta), I) is expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_reflection_test(self, n):
@@ -89,7 +87,21 @@ class TestHeadCriterion:
             for x in grassmann.all_grassmann(n, d):
                 stab = levi.max_levi(x.w, J)
                 for I in subsets(n):
-                    assert levi.is_degree1_head(x.w, d, I) == (I <= stab)
+                    assert levi.is_degree1_head(x, I) == (I <= stab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reflection_test_above_the_cap(self, data):
+        # max_levi is polynomial, so the comparison runs past RANK_LIMIT
+        n = data.draw(st.integers(9, 14), label="n")
+        d = data.draw(st.integers(1, n - 1), label="d")
+        cols = data.draw(st.sets(st.integers(1, n), min_size=d, max_size=d),
+                         label="columns")
+        I = data.draw(st.frozensets(st.integers(1, n - 1)), label="I")
+        x = GrassmannSchubert.from_columns(n, d, cols)
+        stab = levi.max_levi(x.w, x.quotient)
+        assert levi.is_degree1_head(x, I) == (I <= stab)
+        assert levi.is_degree1_head(x, I & stab)
 
 
 class TestHeadsBelow:

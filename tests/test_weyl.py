@@ -44,13 +44,9 @@ class TestBruhat:
 
 class TestDescentsSupport:
     def test_frozen(self):
-        assert weyl.descents((1, 2, 3), "right") == frozenset()
-        assert weyl.descents((3, 4, 1, 2), "right") == frozenset({2})
-        assert weyl.descents((3, 4, 1, 2), "left") == frozenset({2})
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            weyl.descents((1, 2), "up")
+        assert weyl.right_descents((1, 2, 3)) == frozenset()
+        assert weyl.right_descents((3, 4, 1, 2)) == frozenset({2})
+        assert weyl.left_descents((3, 4, 1, 2)) == frozenset({2})
 
     def test_descents_via_length_drop(self):
         for w in itertools.permutations(range(1, 5)):
