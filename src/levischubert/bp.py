@@ -3,12 +3,13 @@ to nested parabolic subsets ``J <= K``, the equivalent characterizations of
 when the rank generating function factors, and the behaviour of Schubert
 divisors under the induced projection.
 
-A decomposition *factors* (is a BP decomposition) when the generating
-function of ``w`` over ``W^J`` is the product of those of ``v`` over
-``W^K`` and ``u`` over ``W^J``.  Two further characterizations are
-implemented and kept in exact agreement by the test suite: maximality of
-``u`` inside the truncated parabolic, and the support/descent containment
-test.
+:func:`decompose` validates ``(w, J, K)`` and factors it once; the other
+functions take its :class:`BPDecomposition`.  The decomposition *factors*
+(is BP) when the generating function of ``w`` over ``W^J`` is the product
+of those of ``v`` over ``W^K`` and ``u`` over ``W^J``.  The polynomial
+support/descent test decides this everywhere; the defining identity and
+the maximality of ``u`` enumerate, so only the ``bp`` report and the sweeps
+that check all three agree run them.
 """
 
 from __future__ import annotations
@@ -23,127 +24,100 @@ ONTO = "onto-image"
 DIVISOR = "unique-divisor"
 
 
-def _normalize(w: Perm, J: Iterable[int], K: Iterable[int]
-               ) -> tuple[Perm, frozenset[int], frozenset[int]]:
-    J, K = frozenset(J), frozenset(K)
-    if not J <= K:
-        raise ValueError(f"J={sorted(J)} must be contained in K={sorted(K)}")
-    weyl.require_quotient(w, J)
-    return tuple(w), J, K
-
-
-def parabolic_decompose(w: Perm, J: Iterable[int], K: Iterable[int]
-                        ) -> tuple[Perm, Perm]:
-    """Unique factorization ``w = v * u`` with ``v`` in ``W^K`` and ``u``
-    in ``W_K`` (and automatically in ``W^J``); lengths add.
-
-    >>> parabolic_decompose((3, 2, 1), (), {1})
-    ((2, 3, 1), (2, 1, 3))
-    """
-    w, J, K = _normalize(w, J, K)
-    v = weyl.min_coset_rep(w, K)
-    u = weyl.compose(weyl.inverse(v), w)
-    return v, u
-
-
-def is_bp_maximality(w: Perm, J: Iterable[int], K: Iterable[int]) -> bool:
-    """Maximality characterization: the factor ``u`` admits no strictly
-    larger element of ``W_K`` intersected with ``W^J`` below ``w``."""
-    w, J, K = _normalize(w, J, K)
-    _, u = parabolic_decompose(w, J, K)
-    candidates = [x for x in weyl.parabolic_elements(K, len(w))
-                  if not (weyl.right_descents(x) & J) and weyl.bruhat_leq(x, w)]
-    return not any(x != u and weyl.bruhat_leq(u, x) for x in candidates)
-
-
-def is_bp_support(w: Perm, J: Iterable[int], K: Iterable[int]) -> bool:
-    """Support characterization: every index of ``K`` supporting ``v`` is a
-    left descent of the longest element ``u * w0(J)`` of the coset
-    ``u * W_J``."""
-    w, J, K = _normalize(w, J, K)
-    v, u = parabolic_decompose(w, J, K)
-    u_top = weyl.compose(u, weyl.longest_element(J, len(w)))
-    return (weyl.support(v) & K) <= weyl.left_descents(u_top)
-
-
-def poincare_factorizes(w: Perm, J: Iterable[int], K: Iterable[int]) -> bool:
-    """Defining condition: the rank generating function of ``w`` over
-    ``W^J`` equals the product of those of the two factors.
-
-    >>> poincare_factorizes((3, 2, 1), (), {1})
-    True
-    """
-    w, J, K = _normalize(w, J, K)
-    v, u = parabolic_decompose(w, J, K)
-    return weyl.poincare_polynomial(w, J) == weyl.poly_mul(
-        weyl.poincare_polynomial(v, K), weyl.poincare_polynomial(u, J))
-
-
 @dataclass(frozen=True)
 class BPDecomposition:
-    """A parabolic decomposition with all three factorization tests."""
+    """A parabolic decomposition ``w = v * u``, validated by :func:`decompose`."""
 
     w: Perm
     J: frozenset[int]
     K: frozenset[int]
     v: Perm
     u: Perm
-    maximality: bool
-    support_condition: bool
-    poincare_condition: bool
 
     @property
     def is_bp(self) -> bool:
-        return self.poincare_condition
+        return is_bp_support(self)
 
     def to_json(self) -> dict:
+        support = is_bp_support(self)
         return {
             "v": list(self.v),
             "u": list(self.u),
-            "bp": self.is_bp,
+            "bp": support,
             "characterizations": {
-                "maximality": self.maximality,
-                "support": self.support_condition,
-                "poincare": self.poincare_condition,
+                "maximality": is_bp_maximality(self),
+                "support": support,
+                "poincare": poincare_factorizes(self),
             },
         }
 
 
 def decompose(w: Perm, J: Iterable[int], K: Iterable[int]) -> BPDecomposition:
-    w, J, K = _normalize(w, J, K)
-    v, u = parabolic_decompose(w, J, K)
-    return BPDecomposition(
-        w, J, K, v, u,
-        is_bp_maximality(w, J, K),
-        is_bp_support(w, J, K),
-        poincare_factorizes(w, J, K),
-    )
+    """Unique factorization ``w = v * u`` with ``v`` in ``W^K`` and ``u``
+    in ``W_K`` (and automatically in ``W^J``); lengths add.  This is the one
+    place that checks ``J <= K`` and that ``w`` lies in ``W^J``.
+
+    >>> d = decompose((3, 2, 1), (), {1})
+    >>> d.v, d.u
+    ((2, 3, 1), (2, 1, 3))
+    """
+    J, K = frozenset(J), frozenset(K)
+    if not J <= K:
+        raise ValueError(f"J={sorted(J)} must be contained in K={sorted(K)}")
+    weyl.require_quotient(w, J)
+    w = tuple(w)
+    v = weyl.min_coset_rep(w, K)
+    return BPDecomposition(w, J, K, v, weyl.compose(weyl.inverse(v), w))
 
 
-def project_divisor(tau: Perm, w: Perm, J: Iterable[int], K: Iterable[int]
-                    ) -> tuple[Perm, str]:
-    """Classify the image of a Schubert divisor ``tau`` of ``w`` under the
-    coset projection attached to ``K``: the image is either ``v`` itself
+def is_bp_maximality(d: BPDecomposition) -> bool:
+    """Maximality characterization: the factor ``u`` admits no strictly
+    larger element of ``W_K`` intersected with ``W^J`` below ``w``."""
+    candidates = [x for x in weyl.parabolic_elements(d.K, len(d.w))
+                  if not (weyl.right_descents(x) & d.J) and weyl.bruhat_leq(x, d.w)]
+    return not any(x != d.u and weyl.bruhat_leq(d.u, x) for x in candidates)
+
+
+def is_bp_support(d: BPDecomposition) -> bool:
+    """Support characterization: every index of ``K`` supporting ``v`` is a
+    left descent of the longest element ``u * w0(J)`` of the coset
+    ``u * W_J``.  Polynomial, so it is the production test."""
+    u_top = weyl.compose(d.u, weyl.longest_element(d.J, len(d.w)))
+    return (weyl.support(d.v) & d.K) <= weyl.left_descents(u_top)
+
+
+def poincare_factorizes(d: BPDecomposition) -> bool:
+    """Defining condition: the rank generating function of ``w`` over
+    ``W^J`` equals the product of those of the two factors.
+
+    >>> poincare_factorizes(decompose((3, 2, 1), (), {1}))
+    True
+    """
+    return weyl.poincare_polynomial(d.w, d.J) == weyl.poly_mul(
+        weyl.poincare_polynomial(d.v, d.K), weyl.poincare_polynomial(d.u, d.J))
+
+
+def project_divisor(tau: Perm, d: BPDecomposition) -> tuple[Perm, str]:
+    """Classify the image of a Schubert divisor ``tau`` of ``d.w`` under the
+    coset projection attached to ``d.K``: the image is either ``v`` itself
     (the projection stays onto) or a single Schubert divisor of ``v``.
 
     The dichotomy is a theorem only for factoring decompositions, so a
     non-BP pair is rejected: without the factorization the image can drop
     more than one dimension.
     """
-    w, J, K = _normalize(w, J, K)
-    if tau not in weyl.lower_covers(w, J):
-        raise ValueError(f"{tau} is not a Schubert divisor of {w}")
-    if not poincare_factorizes(w, J, K):
+    if tau not in weyl.lower_covers(d.w, d.J):
+        raise ValueError(f"{tau} is not a Schubert divisor of {d.w}")
+    if not is_bp_support(d):
         raise ValueError(
-            f"the decomposition of {w} at K={sorted(K)} does not factor; "
+            f"the decomposition of {d.w} at K={sorted(d.K)} does not factor; "
             "the projection dichotomy is not guaranteed")
-    v = weyl.min_coset_rep(w, K)
-    image = weyl.min_coset_rep(tau, K)
-    if image == v:
+    image = weyl.min_coset_rep(tau, d.K)
+    if image == d.v:
         return image, ONTO
-    if image in weyl.lower_covers(v, K):
+    if image in weyl.lower_covers(d.v, d.K):
         return image, DIVISOR
-    raise RuntimeError(f"projection dichotomy violated for {tau} under K={sorted(K)}")
+    raise RuntimeError(f"projection dichotomy violated for {tau} under K={sorted(d.K)}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +183,11 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
     for d in range(1, n):
         if d in J:
             continue
-        K = frozenset(range(1, n)) - {d}
-        v, u = parabolic_decompose(w, J, K)
-        factors = poincare_factorizes(w, J, K)
-        report = toroidal.toroidal_necessary(grassmann.GrassmannSchubert(d, v), I)
+        dec = decompose(w, J, frozenset(range(1, n)) - {d})
+        report = toroidal.toroidal_necessary(grassmann.GrassmannSchubert(d, dec.v), I)
         witness = next((c.witness for c in report.divisors
                         if c.criterion == toroidal.VIOLATED), None)
-        steps.append(TransportStep(d, v, u, factors, report.verdict, witness))
+        steps.append(TransportStep(d, dec.v, dec.u, is_bp_support(dec),
+                                   report.verdict, witness))
     certified = any(s.is_bp and s.verdict == toroidal.FAILS for s in steps)
     return TransportReport(tuple(w), J, I, tuple(steps), certified)

@@ -99,9 +99,10 @@ def bp_equivalence(max_n: int) -> Iterator[dict]:
     for n in range(2, max_n + 1):
         for J, K in _subset_pairs(n):
             for w in weyl.quotient_reps(n, J):
-                a = bp.is_bp_maximality(w, J, K)
-                b = bp.is_bp_support(w, J, K)
-                c = bp.poincare_factorizes(w, J, K)
+                d = bp.decompose(w, J, K)
+                a = bp.is_bp_maximality(d)
+                b = bp.is_bp_support(d)
+                c = bp.poincare_factorizes(d)
                 yield {
                     "check": "bp-equivalence", "n": n,
                     "parabolic": sorted(J), "quotient": sorted(K),
@@ -119,15 +120,15 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
                 continue
             covers = weyl.lower_covers(w)
             for K in _powerset(range(1, n)):
-                if not bp.poincare_factorizes(w, (), K):
+                d = bp.decompose(w, (), K)
+                if not bp.poincare_factorizes(d):
                     continue
-                v = weyl.min_coset_rep(w, K)
-                vcovers = weyl.lower_covers(v, K)
+                vcovers = weyl.lower_covers(d.v, K)
                 for tau in covers:
-                    image, kind = bp.project_divisor(tau, w, (), K)
-                    dichotomy = image == v or image in vcovers
+                    image, kind = bp.project_divisor(tau, d)
+                    dichotomy = image == d.v or image in vcovers
                     t = weyl.compose(weyl.inverse(w), tau)
-                    clause = weyl.in_parabolic(t, K) or image != v
+                    clause = weyl.in_parabolic(t, K) or image != d.v
                     yield {
                         "check": "projection-dichotomy", "n": n,
                         "w": list(w), "divisor": list(tau),

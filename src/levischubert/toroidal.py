@@ -89,16 +89,17 @@ def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport
     admissible situations: the divisor is itself stable, or it contains no
     head at all.  Any divisor admitting neither certifies that ``x`` is not
     toroidal for this Levi action; otherwise only the necessary conditions
-    are reported as passing.
+    are reported as passing.  No step enumerates, so any rank is accepted.
     """
     I = frozenset(I)
     checks = []
     for idx, div, stable in divisor_stability(x, I):
         if stable:
             criterion, witness = CRITERION_STABLE, None
+        elif levi.contains_levi_orbit(div.w, x.quotient, I):
+            criterion, witness = VIOLATED, levi.minimal_head(x.quotient, I, x.n)
         else:
-            witness = levi.heads_below(div.w, x.quotient, I).minimal_head
-            criterion = CRITERION_NO_HEAD if witness is None else VIOLATED
+            criterion, witness = CRITERION_NO_HEAD, None
         checks.append(DivisorCheck(div, idx, stable, criterion, witness))
     verdict = FAILS if any(c.criterion == VIOLATED for c in checks) else PASSES
     return ToroidalReport(x, levi.blocks(I, x.n), tuple(checks), verdict)

@@ -74,7 +74,7 @@ def test_singular_varieties_have_no_stable_divisor():
 @criterion(7, "bp-characterization-equivalence")
 def test_bp_characterizations_agree():
     # the worked S3 instance first
-    assert bp.poincare_factorizes((3, 2, 1), (), {1})
+    assert bp.poincare_factorizes(bp.decompose((3, 2, 1), (), {1}))
     assert weyl.poly_mul((1, 1), (1, 1, 1)) == (1, 2, 2, 1)
     assert weyl.poincare_polynomial((3, 2, 1)) == (1, 2, 2, 1)
     bad = violations(sweeps.bp_equivalence(5))

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import bp, levi, toroidal, weyl
@@ -17,32 +18,34 @@ def subset_pairs(n):
                     yield J, J | frozenset(kc)
 
 
+def factors(w, J, K):
+    d = bp.decompose(w, J, K)
+    return d.v, d.u
+
+
 class TestParabolicDecompose:
     def test_identity(self):
-        assert bp.parabolic_decompose((1, 2, 3), (), {1}) == (
-            (1, 2, 3), (1, 2, 3))
+        assert factors((1, 2, 3), (), {1}) == ((1, 2, 3), (1, 2, 3))
 
     def test_worked_s3_instance(self):
-        assert bp.parabolic_decompose((3, 2, 1), (), {1}) == (
-            (2, 3, 1), (2, 1, 3))
+        assert factors((3, 2, 1), (), {1}) == ((2, 3, 1), (2, 1, 3))
 
     def test_frozen_s4_instance(self):
-        assert bp.parabolic_decompose((3, 4, 1, 2), (), {1, 2}) == (
-            (1, 3, 4, 2), (2, 3, 1, 4))
+        assert factors((3, 4, 1, 2), (), {1, 2}) == ((1, 3, 4, 2), (2, 3, 1, 4))
 
     def test_rejects_bad_nesting(self):
         with pytest.raises(ValueError):
-            bp.parabolic_decompose((3, 2, 1), {1}, {2})
+            bp.decompose((3, 2, 1), {1}, {2})
 
     def test_rejects_non_representative(self):
         with pytest.raises(ValueError):
-            bp.parabolic_decompose((2, 1, 3), {1}, {1, 2})
+            bp.decompose((2, 1, 3), {1}, {1, 2})
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_factorization_properties(self, n):
         for J, K in subset_pairs(n):
             for w in weyl.quotient_reps(n, J):
-                v, u = bp.parabolic_decompose(w, J, K)
+                v, u = factors(w, J, K)
                 assert weyl.compose(v, u) == w
                 assert weyl.in_quotient(v, K)
                 assert weyl.in_parabolic(u, K)
@@ -53,39 +56,59 @@ class TestParabolicDecompose:
 
 class TestCharacterizations:
     def test_worked_s3_instance(self):
-        assert bp.is_bp_maximality((3, 2, 1), (), {1})
-        assert bp.is_bp_support((3, 2, 1), (), {1})
-        assert bp.poincare_factorizes((3, 2, 1), (), {1})
+        d = bp.decompose((3, 2, 1), (), {1})
+        assert bp.is_bp_maximality(d)
+        assert bp.is_bp_support(d)
+        assert bp.poincare_factorizes(d)
         # the generating function identity behind it
         assert weyl.poly_mul((1, 1), (1, 1, 1)) == (1, 2, 2, 1)
         assert weyl.poincare_polynomial((3, 2, 1)) == (1, 2, 2, 1)
 
     def test_identity_always_factors(self):
-        assert bp.poincare_factorizes((1, 2, 3), (), {2})
-        assert bp.is_bp_maximality((1, 2, 3), (), {2})
-        assert bp.is_bp_support((1, 2, 3), (), {2})
+        d = bp.decompose((1, 2, 3), (), {2})
+        assert bp.poincare_factorizes(d)
+        assert bp.is_bp_maximality(d)
+        assert bp.is_bp_support(d)
 
     def test_frozen_counterexample(self):
         # the factor u = id is not maximal below w inside W_K
-        args = ((1, 4, 2, 3), (), {3})
-        assert not bp.is_bp_maximality(*args)
-        assert not bp.is_bp_support(*args)
-        assert not bp.poincare_factorizes(*args)
+        d = bp.decompose((1, 4, 2, 3), (), {3})
+        assert not bp.is_bp_maximality(d)
+        assert not bp.is_bp_support(d)
+        assert not bp.poincare_factorizes(d)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_three_way_equivalence(self, n):
         for J, K in subset_pairs(n):
             for w in weyl.quotient_reps(n, J):
-                a = bp.is_bp_maximality(w, J, K)
-                b = bp.is_bp_support(w, J, K)
-                c = bp.poincare_factorizes(w, J, K)
+                d = bp.decompose(w, J, K)
+                a = bp.is_bp_maximality(d)
+                b = bp.is_bp_support(d)
+                c = bp.poincare_factorizes(d)
                 assert a == b == c, (w, J, K)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_three_way_equivalence_at_ranks_6_7(self, data):
+        n = data.draw(st.integers(6, 7), label="n")
+        # each simple root lies in J, in K - J, or outside K
+        where = data.draw(st.lists(st.sampled_from("JK-"), min_size=n - 1,
+                                   max_size=n - 1), label="J, K")
+        J = frozenset(i for i, c in enumerate(where, 1) if c == "J")
+        K = frozenset(i for i, c in enumerate(where, 1) if c != "-")
+        # the coset representative of a permutation: uniform over W^J
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        d = bp.decompose(w, J, K)
+        assert bp.is_bp_maximality(d) == bp.is_bp_support(d) \
+            == bp.poincare_factorizes(d), (w, J, K)
 
     def test_decompose_bundle(self):
         got = bp.decompose((3, 2, 1), (), {1})
         assert (got.v, got.u) == ((2, 3, 1), (2, 1, 3))
         assert got.is_bp
-        assert got.maximality and got.support_condition and got.poincare_condition
+        assert bp.is_bp_maximality(got) and bp.is_bp_support(got)
+        assert bp.poincare_factorizes(got)
         data = got.to_json()
         assert data == {
             "v": [2, 3, 1], "u": [2, 1, 3], "bp": True,
@@ -96,31 +119,31 @@ class TestCharacterizations:
 class TestProjectDivisor:
     def test_onto_instance(self):
         image, kind = bp.project_divisor(
-            (1, 3, 5, 2, 4), (1, 3, 5, 4, 2), (), {1, 4})
+            (1, 3, 5, 2, 4), bp.decompose((1, 3, 5, 4, 2), (), {1, 4}))
         assert image == (1, 3, 5, 2, 4)
         assert kind == bp.ONTO
 
     def test_unique_divisor_instance(self):
         image, kind = bp.project_divisor(
-            (1, 2, 5, 4, 3), (1, 3, 5, 4, 2), (), {1, 4})
+            (1, 2, 5, 4, 3), bp.decompose((1, 3, 5, 4, 2), (), {1, 4}))
         assert image == (1, 2, 5, 3, 4)
         assert kind == bp.DIVISOR
         assert image in weyl.lower_covers((1, 3, 5, 2, 4), {1, 4})
 
     def test_collapsing_quotient_is_onto(self):
         # K swallowing the support collapses everything onto the image
-        w = (3, 2, 1)
-        for tau in weyl.lower_covers(w):
-            image, kind = bp.project_divisor(tau, w, (), {1, 2})
+        d = bp.decompose((3, 2, 1), (), {1, 2})
+        for tau in weyl.lower_covers(d.w):
+            image, kind = bp.project_divisor(tau, d)
             assert kind == bp.ONTO and image == (1, 2, 3)
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
-            bp.project_divisor((1, 2, 3), (3, 2, 1), (), {1})
+            bp.project_divisor((1, 2, 3), bp.decompose((3, 2, 1), (), {1}))
 
     def test_rejects_non_factoring_pair(self):
         with pytest.raises(ValueError):
-            bp.project_divisor((1, 3, 2, 4), (1, 4, 2, 3), (), {3})
+            bp.project_divisor((1, 3, 2, 4), bp.decompose((1, 4, 2, 3), (), {3}))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dichotomy_exhaustive(self, n):
@@ -131,14 +154,14 @@ class TestProjectDivisor:
             for r in range(n):
                 for kc in itertools.combinations(range(1, n), r):
                     K = frozenset(kc)
-                    if not bp.poincare_factorizes(w, (), K):
+                    d = bp.decompose(w, (), K)
+                    if not bp.poincare_factorizes(d):
                         continue
-                    v = weyl.min_coset_rep(w, K)
-                    vcovers = weyl.lower_covers(v, K)
+                    vcovers = weyl.lower_covers(d.v, K)
                     for tau in covers:
-                        image, kind = bp.project_divisor(tau, w, (), K)
+                        image, kind = bp.project_divisor(tau, d)
                         if kind == bp.ONTO:
-                            assert image == v
+                            assert image == d.v
                             # the moving reflection then lies in W_K
                             t = weyl.compose(weyl.inverse(w), tau)
                             assert weyl.in_parabolic(t, K)
@@ -158,6 +181,17 @@ class TestTransport:
         assert step.is_bp
         assert step.verdict == toroidal.FAILS
         assert step.witness == weyl.identity(6)
+
+    def test_certified_above_the_cap(self):
+        # padded with fixed points past RANK_LIMIT: the support test and the
+        # minimal-head check never enumerate
+        w = (6, 2, 5, 4, 3, 1, *range(7, 13))
+        report = bp.nontoroidal_transport(w, (), {1, 3, 4, 5})
+        assert report.certified_nontoroidal
+        step = next(s for s in report.steps if s.omitted == 2)
+        assert step.v == (2, 6, 1, 3, 4, 5, *range(7, 13))
+        assert step.is_bp and step.verdict == toroidal.FAILS
+        assert step.witness == weyl.identity(12)
 
     def test_uncertified_without_factorization(self):
         # every maximal coarsening of this element fails to factor, so no
@@ -184,5 +218,5 @@ class TestTransport:
             stab = levi.max_levi(w)
             for d in (1, 2, 3):
                 K = frozenset({1, 2, 3}) - {d}
-                v, _ = bp.parabolic_decompose(w, (), K)
+                v = bp.decompose(w, (), K).v
                 assert stab <= levi.max_levi(v, K)

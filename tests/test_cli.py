@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from levischubert import cli, levi, sweeps
+from levischubert import cli, levi, sweeps, weyl
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +125,26 @@ class TestToroidal:
             capsys, "toroidal", "--n", "6", "--d", "2",
             "--w", "2,6,1,3,4,5", "--levi", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 20])
+    def test_certified_family_above_the_cap(self, capsys, n):
+        # w = (2, n, 1, 3, ..., n-1) under the Levi of {1, 3, ..., n-1}: both
+        # divisors are unstable and contain the base point
+        w, I = [2, n, 1, *range(3, n)], [1, *range(3, n)]
+        code, out, _ = run_cli(
+            capsys, "toroidal", "--n", str(n), "--d", "2",
+            "--w", ",".join(map(str, w)), "--levi", ",".join(map(str, I)))
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "fails"
+        assert [(item["criterion"], item["witness"]) for item in data["divisors"]] \
+            == [("violated", list(range(1, n + 1)))] * 2
+        if n <= weyl.RANK_LIMIT:
+            # the head enumeration, where it runs, finds the same witnesses
+            J = frozenset(range(1, n)) - {2}
+            for item in data["divisors"]:
+                report = levi.heads_below(tuple(item["w"]), J, I)
+                assert report.minimal_head == weyl.identity(n)
 
 
 class TestBp:

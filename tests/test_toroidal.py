@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levischubert import grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
@@ -102,6 +103,24 @@ class TestNecessaryConditions:
                         if check.criterion == toroidal.VIOLATED:
                             assert weyl.bruhat_leq(check.witness, check.divisor.w)
                             assert levi.is_stable(check.witness, J, stab)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_witness_is_enumerated_minimal_head(self, data):
+        # the minimal-head comparison against the head enumeration, at the
+        # ranks the exhaustive tests above do not reach
+        n = data.draw(st.integers(7, 8), label="n")
+        d = data.draw(st.integers(1, n - 1), label="d")
+        cols = data.draw(st.sets(st.integers(1, n), min_size=d, max_size=d),
+                         label="columns")
+        x = GrassmannSchubert.from_columns(n, d, cols)
+        stab = sorted(levi.max_levi(x.w, x.quotient))
+        I = data.draw(st.frozensets(st.sampled_from(stab)) if stab
+                      else st.just(frozenset()), label="I")
+        for check in toroidal.toroidal_necessary(x, I).divisors:
+            if not check.stable:
+                heads = levi.heads_below(check.divisor.w, x.quotient, I)
+                assert check.witness == heads.minimal_head
 
 
 class TestReportJson:

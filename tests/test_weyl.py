@@ -115,7 +115,7 @@ class TestQuotientReps:
             for J in itertools.combinations(range(1, n), r):
                 assert list(weyl.quotient_reps(n, J)) == oracles.quotient_perms(n, J)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.sets(st.integers(min_value=1, max_value=7)))
     def test_matches_filter_oracle_at_rank_8(self, J):
         assert list(weyl.quotient_reps(8, J)) == oracles.quotient_perms(8, J)
