@@ -7,9 +7,10 @@ divisors under the induced projection.
 functions take its :class:`BPDecomposition`.  The decomposition *factors*
 (is BP) when the generating function of ``w`` over ``W^J`` is the product
 of those of ``v`` over ``W^K`` and ``u`` over ``W^J``.  The polynomial
-support/descent test decides this everywhere; the defining identity and
-the maximality of ``u`` enumerate, so only the ``bp`` report and the sweeps
-that check all three agree run them.
+support/descent test decides this everywhere, including the guard of
+:func:`project_divisors` and the filter of the projection sweep; the
+defining identity and the maximality of ``u`` enumerate, so only the ``bp``
+report and the sweep checking that all three agree run them.
 """
 
 from __future__ import annotations
@@ -97,27 +98,39 @@ def poincare_factorizes(d: BPDecomposition) -> bool:
         weyl.poincare_polynomial(d.v, d.K), weyl.poincare_polynomial(d.u, d.J))
 
 
-def project_divisor(tau: Perm, d: BPDecomposition) -> tuple[Perm, str]:
-    """Classify the image of a Schubert divisor ``tau`` of ``d.w`` under the
-    coset projection attached to ``d.K``: the image is either ``v`` itself
-    (the projection stays onto) or a single Schubert divisor of ``v``.
+def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
+    """Classify the image of every Schubert divisor ``tau`` of ``d.w`` under
+    the coset projection attached to ``d.K``: the image is either ``v``
+    itself (the projection stays onto) or a single Schubert divisor of
+    ``v``.  Returns ``(tau, image, kind)`` triples in the iteration order
+    of ``weyl.lower_covers(d.w, d.J)``.
 
     The dichotomy is a theorem only for factoring decompositions, so a
     non-BP pair is rejected: without the factorization the image can drop
     more than one dimension.
+
+    >>> for tau, image, kind in sorted(project_divisors(decompose((3, 2, 1), (), {1}))):
+    ...     print(tau, image, kind)
+    (2, 3, 1) (2, 3, 1) onto-image
+    (3, 1, 2) (1, 3, 2) unique-divisor
     """
-    if tau not in weyl.lower_covers(d.w, d.J):
-        raise ValueError(f"{tau} is not a Schubert divisor of {d.w}")
     if not is_bp_support(d):
         raise ValueError(
             f"the decomposition of {d.w} at K={sorted(d.K)} does not factor; "
             "the projection dichotomy is not guaranteed")
-    image = weyl.min_coset_rep(tau, d.K)
-    if image == d.v:
-        return image, ONTO
-    if image in weyl.lower_covers(d.v, d.K):
-        return image, DIVISOR
-    raise RuntimeError(f"projection dichotomy violated for {tau} under K={sorted(d.K)}")
+    vcovers = weyl.lower_covers(d.v, d.K)
+    out = []
+    for tau in weyl.lower_covers(d.w, d.J):
+        image = weyl.min_coset_rep(tau, d.K)
+        if image == d.v:
+            kind = ONTO
+        elif image in vcovers:
+            kind = DIVISOR
+        else:
+            raise RuntimeError(
+                f"projection dichotomy violated for {tau} under K={sorted(d.K)}")
+        out.append((tau, image, kind))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

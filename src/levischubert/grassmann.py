@@ -1,5 +1,5 @@
-"""Grassmann (single-descent) permutations: run decomposition, dimension,
-Schubert divisors, and the column pattern characterizing smoothness."""
+"""Grassmann (single-descent) permutations: run decomposition, Schubert
+divisors by run, and the column pattern characterizing smoothness."""
 
 from __future__ import annotations
 
@@ -82,11 +82,6 @@ def runs(x: GrassmannSchubert) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in out)
 
 
-def dimension(x: GrassmannSchubert) -> int:
-    """Dimension of the Schubert variety: ``sum(w_i - i)`` over the window."""
-    return sum(v - i for i, v in enumerate(x.columns, start=1))
-
-
 def run_divisors(x: GrassmannSchubert) -> tuple[tuple[int, GrassmannSchubert], ...]:
     """Schubert divisors paired with the 1-based index of the run that
     produced them.  The divisor for run ``(a, b)`` lowers that run's first
@@ -99,13 +94,6 @@ def run_divisors(x: GrassmannSchubert) -> tuple[tuple[int, GrassmannSchubert], .
             out.append((idx, GrassmannSchubert.from_columns(
                 x.n, x.d, (cols - {a}) | {a - 1})))
     return tuple(out)
-
-
-def schubert_divisors(x: GrassmannSchubert) -> frozenset[GrassmannSchubert]:
-    """All Schubert divisors of the variety indexed by ``x``."""
-    if x.is_identity:
-        raise ValueError("the identity indexes a point; it has no divisors")
-    return frozenset(div for _, div in run_divisors(x))
 
 
 def smooth_form(x: GrassmannSchubert) -> Optional[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Levi-subgroup actions on Schubert varieties: block partitions, the
-stability test, degree-1 heads, head enumeration, and boundaries.
+stability test, degree-1 heads, and head enumeration with its boundary
+(the maximal proper heads).
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
 its complement cuts ``{1..n}`` into consecutive blocks (the position blocks
@@ -181,14 +182,3 @@ def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     (1, 3, 2, 4)
     """
     return weyl.min_coset_rep(weyl.longest_element(I, n), J)
-
-
-def boundary(w: Perm, J: Iterable[int], I: Iterable[int]) -> frozenset[Perm]:
-    """Indices of the components of the complement of the open stabilizer
-    orbit: the maximal heads strictly below a stable ``w``.
-
-    Empty exactly when the Levi acts with a dense orbit whose closure is
-    the whole variety (e.g. for the minimal head itself).
-    """
-    require_stable(w, J, I)
-    return frozenset(heads_below(w, J, I).maximal_proper_heads)

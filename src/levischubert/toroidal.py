@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import grassmann, levi, weyl
+from . import grassmann, levi
 from .grassmann import GrassmannSchubert
 from .weyl import Perm
 
@@ -109,27 +109,28 @@ def unique_head_check(x: GrassmannSchubert) -> bool:
     """For a smooth-pattern ``x``: is ``x.w`` the only head for the maximal
     Levi?  When true, no Schubert divisor of ``x`` contains an orbit of
     that Levi, and the Levi acts with a dense orbit exhausting the variety.
+
+    ``x.w`` is itself a head and the minimal head lies below every head,
+    so the head is unique exactly when ``x.w`` is the minimal head.  No
+    step enumerates, so any rank is accepted.
     """
     if grassmann.smooth_form(x) is None:
         raise ValueError(f"{x.w} does not have the smooth column pattern")
     I = levi.max_levi(x.w, x.quotient)
-    return levi.heads_below(x.w, x.quotient, I).heads == (x.w,)
+    return levi.minimal_head(x.quotient, I, x.n) == x.w
 
 
 def no_stable_divisor_check(x: GrassmannSchubert) -> bool:
     """For a singular ``x`` (no smooth column pattern), with the maximal
-    Levi: no Schubert divisor is Levi-stable, and every proper head sits in
-    codimension at least two.  Both facts reflect the stable subvarieties
-    lying inside the singular locus.
+    Levi: no Schubert divisor is Levi-stable, which reflects the stable
+    subvarieties lying inside the singular locus.
+
+    It also puts every proper head in codimension at least two: a proper
+    head of codimension one is a Schubert divisor that is Levi-stable.  No
+    step enumerates, so any rank is accepted.
     """
     if grassmann.smooth_form(x) is not None:
         raise ValueError(f"{x.w} has the smooth column pattern; "
                          "the check applies to singular varieties")
     I = levi.max_levi(x.w, x.quotient)
-    if any(levi.is_stable(div.w, x.quotient, I)
-           for _, div in grassmann.run_divisors(x)):
-        return False
-    dim = grassmann.dimension(x)
-    report = levi.heads_below(x.w, x.quotient, I)
-    return all(dim - weyl.length(h) >= 2
-               for h in report.heads if h != x.w)
+    return not any(stable for _, _, stable in divisor_stability(x, I))

@@ -83,13 +83,6 @@ def mult_left(w: Perm, i: int) -> Perm:
     return tuple(out)
 
 
-def mult_right(w: Perm, i: int) -> Perm:
-    """``w * s_i``: swap the entries in positions ``i`` and ``i + 1``."""
-    out = list(w)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
 def right_descents(w: Perm) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
@@ -357,10 +350,6 @@ def parse_perm(text: str) -> Perm:
     return w
 
 
-def format_perm(w: Perm) -> str:
-    return ",".join(map(str, w))
-
-
 def parse_parabolic(text: str, n: int) -> frozenset[int]:
     """Parse comma-separated simple-root indices such as ``"1,3,4"``."""
     if not text:
@@ -372,7 +361,3 @@ def parse_parabolic(text: str, n: int) -> frozenset[int]:
     if not J <= set(range(1, n)):
         raise ValueError(f"indices in {text!r} fall outside 1..{n - 1}")
     return J
-
-
-def format_parabolic(J: Iterable[int]) -> str:
-    return ",".join(map(str, sorted(J)))

@@ -43,7 +43,7 @@ def test_gl4_worked_example():
     w = (3, 4, 1, 2)
     assert levi.max_levi(w, ()) == frozenset({2})
     assert levi.is_stable((1, 3, 2, 4), (), {2})
-    assert levi.boundary(w, (), {2}) == frozenset({
+    assert frozenset(levi.heads_below(w, (), {2}).maximal_proper_heads) == frozenset({
         (1, 4, 3, 2), (3, 1, 4, 2), (3, 2, 1, 4)})
 
 

@@ -116,16 +116,21 @@ class TestCharacterizations:
                 "maximality": True, "support": True, "poincare": True}}
 
 
+def projections(d):
+    """``project_divisors`` keyed by divisor: tau -> (image, kind)."""
+    return {tau: (image, kind) for tau, image, kind in bp.project_divisors(d)}
+
+
 class TestProjectDivisor:
     def test_onto_instance(self):
-        image, kind = bp.project_divisor(
-            (1, 3, 5, 2, 4), bp.decompose((1, 3, 5, 4, 2), (), {1, 4}))
+        d = bp.decompose((1, 3, 5, 4, 2), (), {1, 4})
+        image, kind = projections(d)[(1, 3, 5, 2, 4)]
         assert image == (1, 3, 5, 2, 4)
         assert kind == bp.ONTO
 
     def test_unique_divisor_instance(self):
-        image, kind = bp.project_divisor(
-            (1, 2, 5, 4, 3), bp.decompose((1, 3, 5, 4, 2), (), {1, 4}))
+        d = bp.decompose((1, 3, 5, 4, 2), (), {1, 4})
+        image, kind = projections(d)[(1, 2, 5, 4, 3)]
         assert image == (1, 2, 5, 3, 4)
         assert kind == bp.DIVISOR
         assert image in weyl.lower_covers((1, 3, 5, 2, 4), {1, 4})
@@ -133,20 +138,27 @@ class TestProjectDivisor:
     def test_collapsing_quotient_is_onto(self):
         # K swallowing the support collapses everything onto the image
         d = bp.decompose((3, 2, 1), (), {1, 2})
-        for tau in weyl.lower_covers(d.w):
-            image, kind = bp.project_divisor(tau, d)
-            assert kind == bp.ONTO and image == (1, 2, 3)
+        got = projections(d)
+        assert set(got) == weyl.lower_covers(d.w)
+        assert set(got.values()) == {((1, 2, 3), bp.ONTO)}
 
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            bp.project_divisor((1, 2, 3), bp.decompose((3, 2, 1), (), {1}))
+    def test_projects_exactly_the_divisors(self):
+        # one triple per Schubert divisor, in the order lower_covers lists them
+        for J, K in subset_pairs(4):
+            for w in weyl.quotient_reps(4, J):
+                d = bp.decompose(w, J, K)
+                if bp.is_bp_support(d):
+                    taus = [tau for tau, _, _ in bp.project_divisors(d)]
+                    assert taus == list(weyl.lower_covers(w, J)), (w, J, K)
 
     def test_rejects_non_factoring_pair(self):
-        with pytest.raises(ValueError):
-            bp.project_divisor((1, 3, 2, 4), bp.decompose((1, 4, 2, 3), (), {3}))
+        with pytest.raises(ValueError, match="does not factor"):
+            bp.project_divisors(bp.decompose((1, 4, 2, 3), (), {3}))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dichotomy_exhaustive(self, n):
+        # the Poincare identity, not the support test, decides which pairs
+        # factor, and project_divisors refuses exactly the others
         for w in itertools.permutations(range(1, n + 1)):
             if weyl.length(w) == 0:
                 continue
@@ -156,16 +168,21 @@ class TestProjectDivisor:
                     K = frozenset(kc)
                     d = bp.decompose(w, (), K)
                     if not bp.poincare_factorizes(d):
+                        with pytest.raises(ValueError):
+                            bp.project_divisors(d)
                         continue
                     vcovers = weyl.lower_covers(d.v, K)
-                    for tau in covers:
-                        image, kind = bp.project_divisor(tau, d)
+                    got = projections(d)
+                    assert set(got) == covers
+                    for tau, (image, kind) in got.items():
+                        assert image == oracles.coset_min(tau, K)
                         if kind == bp.ONTO:
                             assert image == d.v
                             # the moving reflection then lies in W_K
                             t = weyl.compose(weyl.inverse(w), tau)
                             assert weyl.in_parabolic(t, K)
                         else:
+                            assert kind == bp.DIVISOR
                             assert image in vcovers
 
 

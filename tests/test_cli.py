@@ -80,7 +80,8 @@ class TestAnalyze:
                     capsys, "analyze", "--n", str(n), "--w",
                     ",".join(map(str, w)), "--levi", ",".join(map(str, I)))
                 assert code == 0
-                expected = [list(h) for h in sorted(levi.boundary(w, (), I))]
+                report = levi.heads_below(w, (), I)
+                expected = [list(h) for h in sorted(report.maximal_proper_heads)]
                 assert json.loads(out)["boundary"] == expected
 
     def test_text_format(self, capsys):

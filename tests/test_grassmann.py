@@ -58,19 +58,27 @@ class TestRuns:
 
 
 class TestDimension:
+    """The dimension of a Grassmannian Schubert variety is the length of
+    its index: ``sum(w_i - i)`` over the column window."""
+
     @pytest.mark.parametrize("d,w,expected", [
         (2, (1, 2, 3, 4), 0),
         (3, (2, 3, 6, 1, 4, 5), 5),
         (2, (3, 4, 1, 2), 4),
     ])
     def test_frozen(self, d, w, expected):
-        assert grassmann.dimension(GrassmannSchubert(d, w)) == expected
+        assert weyl.length(GrassmannSchubert(d, w).w) == expected
 
     def test_equals_length(self):
         for n in range(2, 8):
             for d in range(1, n):
                 for x in grassmann.all_grassmann(n, d):
-                    assert grassmann.dimension(x) == weyl.length(x.w)
+                    window = sum(v - i for i, v in enumerate(x.columns, start=1))
+                    assert window == weyl.length(x.w)
+
+
+def divisors(x):
+    return {div for _, div in grassmann.run_divisors(x)}
 
 
 class TestDivisors:
@@ -80,17 +88,17 @@ class TestDivisors:
         (2, (2, 6, 1, 3, 4, 5), {(1, 6), (2, 5)}),
     ])
     def test_frozen(self, d, w, expected_columns):
-        divs = grassmann.schubert_divisors(GrassmannSchubert(d, w))
+        divs = divisors(GrassmannSchubert(d, w))
         assert {x.columns for x in divs} == expected_columns
 
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            grassmann.schubert_divisors(GrassmannSchubert(2, (1, 2, 3)))
+    def test_identity_has_no_divisors(self):
+        # the identity indexes a point
+        assert grassmann.run_divisors(GrassmannSchubert(2, (1, 2, 3))) == ()
 
     def test_divisors_drop_dimension_by_one(self):
         x = GrassmannSchubert(3, (2, 3, 6, 1, 4, 5))
-        for div in grassmann.schubert_divisors(x):
-            assert grassmann.dimension(div) == grassmann.dimension(x) - 1
+        for div in divisors(x):
+            assert weyl.length(div.w) == weyl.length(x.w) - 1
             assert weyl.bruhat_leq(div.w, x.w)
 
     def test_equals_lower_covers(self):
@@ -98,9 +106,7 @@ class TestDivisors:
         for n in range(2, 8):
             for d in range(1, n):
                 for x in grassmann.all_grassmann(n, d):
-                    if x.is_identity:
-                        continue
-                    divs = {v.w for v in grassmann.schubert_divisors(x)}
+                    divs = {v.w for v in divisors(x)}
                     assert divs == weyl.lower_covers(x.w, x.quotient)
 
     def test_run_divisors_indexing(self):

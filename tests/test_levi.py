@@ -179,23 +179,29 @@ class TestMinimalHead:
                         assert weyl.bruhat_leq(mh, w)
 
 
+def boundary(w, J, I):
+    """The maximal proper heads below a stable ``w``."""
+    return frozenset(levi.heads_below(w, J, I).maximal_proper_heads)
+
+
 class TestBoundary:
     def test_minimal_head_has_empty_boundary(self):
         mh = levi.minimal_head((), {2}, 4)
-        assert levi.boundary(mh, (), {2}) == frozenset()
+        assert boundary(mh, (), {2}) == frozenset()
 
     def test_reference_gl4_instance(self):
-        assert levi.boundary((3, 4, 1, 2), (), {2}) == frozenset({
+        assert boundary((3, 4, 1, 2), (), {2}) == frozenset({
             (1, 4, 3, 2), (3, 1, 4, 2), (3, 2, 1, 4)})
 
     def test_smooth_grassmann_case_is_homogeneous(self):
         x = grassmann.GrassmannSchubert(2, (3, 4, 1, 2, 5))
         I = levi.max_levi(x.w, x.quotient)
-        assert levi.boundary(x.w, x.quotient, I) == frozenset()
+        assert boundary(x.w, x.quotient, I) == frozenset()
 
     def test_requires_stability(self):
-        with pytest.raises(ValueError):
-            levi.boundary((2, 4, 1, 3), (), {2})
+        with pytest.raises(ValueError, match="not stable under the Levi of \\[2\\]"):
+            levi.require_stable((2, 4, 1, 3), (), {2})
+        assert levi.require_stable((3, 4, 1, 2), (), {2}) is None
 
 
 class TestHeadReportJson:

@@ -13,6 +13,19 @@ def subsets(items):
             for c in itertools.combinations(items, r)]
 
 
+@st.composite
+def stable_at_ranks_7_8(draw):
+    """A Grassmann permutation of rank 7 or 8 and a Levi stabilizing it."""
+    n = draw(st.integers(7, 8), label="n")
+    d = draw(st.integers(1, n - 1), label="d")
+    cols = draw(st.sets(st.integers(1, n), min_size=d, max_size=d), label="columns")
+    x = GrassmannSchubert.from_columns(n, d, cols)
+    stab = sorted(levi.max_levi(x.w, x.quotient))
+    I = draw(st.frozensets(st.sampled_from(stab)) if stab else st.just(frozenset()),
+             label="I")
+    return x, I
+
+
 class TestDivisorStability:
     def test_both_divisors_unstable(self):
         x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
@@ -105,18 +118,11 @@ class TestNecessaryConditions:
                             assert levi.is_stable(check.witness, J, stab)
 
     @settings(max_examples=60)
-    @given(st.data())
-    def test_witness_is_enumerated_minimal_head(self, data):
+    @given(stable_at_ranks_7_8())
+    def test_witness_is_enumerated_minimal_head(self, pair):
         # the minimal-head comparison against the head enumeration, at the
         # ranks the exhaustive tests above do not reach
-        n = data.draw(st.integers(7, 8), label="n")
-        d = data.draw(st.integers(1, n - 1), label="d")
-        cols = data.draw(st.sets(st.integers(1, n), min_size=d, max_size=d),
-                         label="columns")
-        x = GrassmannSchubert.from_columns(n, d, cols)
-        stab = sorted(levi.max_levi(x.w, x.quotient))
-        I = data.draw(st.frozensets(st.sampled_from(stab)) if stab
-                      else st.just(frozenset()), label="I")
+        x, I = pair
         for check in toroidal.toroidal_necessary(x, I).divisors:
             if not check.stable:
                 heads = levi.heads_below(check.divisor.w, x.quotient, I)
@@ -133,6 +139,55 @@ class TestReportJson:
         assert data["levi"]["blocks"] == [[1, 2], [3, 4, 5, 6]]
         for item in data["divisors"]:
             assert set(item) == {"w", "run", "stable", "criterion", "witness"}
+
+
+def head_criteria(x, I):
+    """The two polynomial criteria for ``x`` under the Levi of ``I``, each
+    compared with the head enumeration; returns both verdicts."""
+    heads = levi.heads_below(x.w, x.quotient, I).heads
+    unique = levi.minimal_head(x.quotient, I, x.n) == x.w
+    assert unique == (heads == (x.w,)), (x, I)
+    no_stable = not any(stable for _, _, stable in toroidal.divisor_stability(x, I))
+    # a proper head of codimension one is a Levi-stable Schubert divisor
+    dim = weyl.length(x.w)
+    assert no_stable == all(dim - weyl.length(h) >= 2
+                            for h in heads if h != x.w), (x, I)
+    # with the maximal Levi, each check is the criterion on its own domain
+    if I == levi.max_levi(x.w, x.quotient):
+        if grassmann.smooth_form(x) is None:
+            assert toroidal.no_stable_divisor_check(x) == no_stable, x
+        else:
+            assert toroidal.unique_head_check(x) == unique, x
+    return unique, no_stable
+
+
+class TestHeadCriteria:
+    """The criteria behind ``unique_head_check`` and
+    ``no_stable_divisor_check`` at every Levi inside the maximal one, where
+    both verdicts occur; with the maximal Levi on their own domain the
+    checks always hold, so a wrong criterion shows only here."""
+
+    def test_exhaustive(self):
+        seen = set()
+        for n in range(2, 7):
+            for d in range(1, n):
+                for x in grassmann.all_grassmann(n, d):
+                    for I in subsets(levi.max_levi(x.w, x.quotient)):
+                        seen.add(head_criteria(x, I))
+        # a unique head leaves no room for a stable divisor
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    @settings(max_examples=100)
+    @given(stable_at_ranks_7_8())
+    def test_at_ranks_7_8(self, pair):
+        head_criteria(*pair)
+
+    def test_checks_above_the_cap(self):
+        # neither check enumerates, so both run past RANK_LIMIT
+        smooth = GrassmannSchubert.from_columns(12, 4, (1, 2, 9, 10))
+        assert toroidal.unique_head_check(smooth)
+        singular = GrassmannSchubert.from_columns(12, 3, (2, 5, 12))
+        assert toroidal.no_stable_divisor_check(singular)
 
 
 class TestSmoothUniqueHead:
