@@ -3,20 +3,21 @@ homogeneous spaces, and the dimension counts showing that their two closed
 orbits sit in codimension at least two.
 
 :data:`FAMILIES` is the one table of the families: their Dynkin type, the
-least ``m`` and whether a member takes a second parameter ``i``.  Member
-validation and :func:`iter_cases` read it; nothing else restates it.
+least ``m``, whether a member takes a parameter ``i``, its space and its
+dimension formulas.  Everything in this module reads it; nothing restates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 @dataclass(frozen=True)
 class CaseFamily:
     """One parameterized family: a marked Dynkin diagram with two adjacent
-    fundamental weights and the homogeneous space it produces."""
+    fundamental weights and the homogeneous space it produces, as a
+    pattern and as a function of a member's ``(m, i)``."""
 
     tag: str
     dynkin: str
@@ -24,6 +25,8 @@ class CaseFamily:
     needs_i: bool
     marked_roots: str
     space_pattern: str
+    space: Callable[[int, Optional[int]], str]
+    dimensions: Callable[[int, Optional[int]], tuple[int, int, int]]
 
     def to_json(self) -> dict:
         constraint = f"m >= {self.min_m}"
@@ -40,11 +43,18 @@ class CaseFamily:
 
 FAMILIES: tuple[CaseFamily, ...] = (
     CaseFamily("a", "A", 2, False, "(A_m, alpha_1, alpha_m)",
-               "SO(2m+2)/P(omega_1)"),
+               "SO(2m+2)/P(omega_1)",
+               lambda m, i: f"SO({2 * m + 2})/P(omega_1)",
+               lambda m, i: (2 * m, m, m)),
     CaseFamily("b", "A", 3, True, "(A_m, alpha_i, alpha_{i+1})",
-               "Gr(i+1, m+2)"),
+               "Gr(i+1, m+2)",
+               lambda m, i: f"Gr({i + 1}, {m + 2})",
+               lambda m, i: ((m - i + 1) * (i + 1), (m - i + 1) * i,
+                             (m - i) * (i + 1))),
     CaseFamily("c", "D", 4, False, "(D_m, alpha_{m-1}, alpha_m)",
-               "Spin(2m+1)/P(omega_m)"),
+               "Spin(2m+1)/P(omega_m)",
+               lambda m, i: f"Spin({2 * m + 1})/P(omega_{m})",
+               lambda m, i: (m * (m + 1) // 2, m * (m - 1) // 2, m * (m - 1) // 2)),
 )
 
 
@@ -71,16 +81,8 @@ class HorosphericalCase:
         elif self.i is None or not 1 <= self.i <= self.m - 1:
             raise ValueError(f"family {self.tag} requires 1 <= i <= m-1")
 
-    @property
-    def dynkin(self) -> str:
-        return _BY_TAG[self.tag].dynkin
-
     def homogeneous_space(self) -> str:
-        if self.tag == "a":
-            return f"SO({2 * self.m + 2})/P(omega_1)"
-        if self.tag == "b":
-            return f"Gr({self.i + 1}, {self.m + 2})"
-        return f"Spin({2 * self.m + 1})/P(omega_{self.m})"
+        return _BY_TAG[self.tag].space(self.m, self.i)
 
     def to_json(self) -> dict:
         dims = case_dimensions(self)
@@ -101,13 +103,7 @@ def case_dimensions(case: HorosphericalCase) -> tuple[int, int, int]:
     Grassmannians; family c is the even orthogonal Grassmannian pair inside
     the odd one, with triangular-number dimensions.
     """
-    m, i = case.m, case.i
-    if case.tag == "a":
-        return (2 * m, m, m)
-    if case.tag == "b":
-        assert i is not None
-        return ((m - i + 1) * (i + 1), (m - i + 1) * i, (m - i) * (i + 1))
-    return (m * (m + 1) // 2, m * (m - 1) // 2, m * (m - 1) // 2)
+    return _BY_TAG[case.tag].dimensions(case.m, case.i)
 
 
 def codim_at_least_two(case: HorosphericalCase) -> bool:

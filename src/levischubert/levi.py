@@ -7,7 +7,7 @@ its complement cuts ``{1..n}`` into consecutive blocks (the position blocks
 of :func:`weyl.position_blocks`, read as sets of values) and the Levi is
 the corresponding block-diagonal subgroup.  A Schubert variety is stable
 under that Levi iff every generator ``s_i`` with ``i in I`` maps it into
-itself, which :func:`max_levi` decides one reflection at a time;
+itself, which :func:`max_levi` reads off the positions of ``i, i + 1``;
 :func:`require_stable` is the one guard for operations defined only on
 stable varieties.  A *degree-1 head* below ``tau`` is any ``theta <= tau``
 in ``W^J`` whose Schubert variety is itself Levi-stable; heads detect Levi
@@ -55,20 +55,20 @@ def blocks(I: Iterable[int], n: int) -> LeviBlocks:
 
 @lru_cache(maxsize=None)
 def _max_levi(w: Perm, J: frozenset[int]) -> frozenset[int]:
-    lw = weyl.length(w)
-    return frozenset(
-        i for i in range(1, len(w))
-        if weyl.length(weyl.min_coset_rep(weyl.mult_left(w, i), J)) <= lw)
+    pos = weyl.inverse(w)
+    # J joins the positions of i and i + 1 (vacuous when i is a left descent)
+    return frozenset(i for i in range(1, len(w))
+                     if J.issuperset(range(pos[i - 1], pos[i])))
 
 
 def max_levi(w: Perm, J: Iterable[int] = ()) -> frozenset[int]:
     """Simple roots of the largest standard Levi stabilizing the Schubert
     variety of ``w`` in the quotient by ``J``.
 
-    An index ``i`` qualifies iff multiplying by ``s_i`` on the left does
-    not push the coset representative up in length: then the minimal
-    parabolic through ``s_i``, hence the Levi generator, preserves the
-    variety.
+    An index ``i`` qualifies iff ``s_i * w`` does not lengthen the coset
+    representative, so that the Levi generator preserves the variety: iff
+    the value ``i + 1`` stands left of ``i`` (a left descent), or the two
+    values sit in one position block of ``J`` (``s_i * w`` is in ``w * W_J``).
 
     >>> sorted(max_levi((3, 4, 1, 2)))
     [2]
@@ -136,10 +136,6 @@ class HeadReport:
         }
 
 
-def _sort_key(w: Perm) -> tuple[int, Perm]:
-    return (weyl.length(w), w)
-
-
 def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """Enumerate every degree-1 head below ``tau``: the ``theta <= tau``
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
@@ -151,7 +147,7 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     weyl.require_quotient(tau, J)
     found = [t for t in weyl.quotient_reps(len(tau), J)
              if weyl.bruhat_leq(t, tau) and I <= max_levi(t, J)]
-    found.sort(key=_sort_key)
+    found.sort(key=lambda t: (weyl.length(t), t))
     if not found:
         return HeadReport((), None, ())
     mh = found[0]

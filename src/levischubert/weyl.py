@@ -75,14 +75,6 @@ def compose(x: Perm, y: Perm) -> Perm:
     return tuple(x[v - 1] for v in y)
 
 
-def mult_left(w: Perm, i: int) -> Perm:
-    """``s_i * w``: swap the values ``i`` and ``i + 1`` inside ``w``."""
-    out = list(w)
-    a, b = out.index(i), out.index(i + 1)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
-
-
 def right_descents(w: Perm) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
@@ -107,6 +99,22 @@ def support(w: Perm) -> frozenset[int]:
         if top > i:
             out.append(i)
     return frozenset(out)
+
+
+def reduced_word(w: Perm) -> tuple[int, ...]:
+    """A reduced word ``(a_1, ..., a_l)`` of ``w = s_{a_1} * ... * s_{a_l}``:
+    the positions a bubble sort of ``w`` swaps, last swap first.
+
+    >>> reduced_word((3, 4, 1, 2))
+    (2, 1, 3, 2)
+    """
+    out, swaps = list(w), []
+    for top in range(len(out) - 1, 0, -1):
+        for i in range(1, top + 1):
+            if out[i - 1] > out[i]:
+                out[i - 1], out[i] = out[i], out[i - 1]
+                swaps.append(i)
+    return tuple(reversed(swaps))
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
@@ -242,6 +250,7 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
     return _quotient_reps(n, frozenset(J))
 
 
+# uncalled; kept because bench/worker.py reads its cache counters by name
 @lru_cache(maxsize=None)
 def _parabolic_elements(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     _check_rank(n)
@@ -255,11 +264,6 @@ def _parabolic_elements(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
                 elem[lo - 1 + off] = v
         out.append(tuple(elem))
     return tuple(sorted(out))
-
-
-def parabolic_elements(J: Iterable[int], n: int) -> tuple[Perm, ...]:
-    """All of ``W_J``: the permutations fixing every position block setwise."""
-    return _parabolic_elements(n, frozenset(J))
 
 
 def in_parabolic(w: Perm, J: Iterable[int]) -> bool:

@@ -1,8 +1,10 @@
 """Brute-force oracles, implemented independently of the package.
 
 These deliberately avoid the production code paths: lengths come from BFS
-or double loops, Bruhat comparisons from subwords of a reduced word, coset
-representatives from full coset enumeration.
+or double loops, Bruhat comparisons from subwords of a reduced word or from
+rank counts, coset representatives from full coset enumeration, and the
+Billey-Postnikov maximality and the Levi stabilizer from scans over whole
+parabolic subgroups.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ def parabolic_group(J, n):
 def coset_min(w, J):
     """Minimum-length element of w W_J by enumerating the whole coset."""
     coset = [multiply(w, x) for x in parabolic_group(J, len(w))]
-    best = min(coset, key=inv_count)
-    assert sum(1 for c in coset if inv_count(c) == inv_count(best)) == 1
-    return best
+    lengths = [inv_count(c) for c in coset]
+    least = min(lengths)
+    assert lengths.count(least) == 1
+    return coset[lengths.index(least)]
 
 
 def coset_longest(J, n):
@@ -137,3 +140,29 @@ def covers_below(w, J, n):
     target = inv_count(w) - 1
     return {t for t in quotient_perms(n, J)
             if inv_count(t) == target and t in interval}
+
+
+def rank_leq(u, w):
+    """Bruhat order by the rank-matrix criterion: u <= w iff for every
+    prefix length i and threshold j, at most as many of u(1..i) as of
+    w(1..i) are >= j."""
+    n = len(u)
+    return all(sum(1 for x in u[:i] if x >= j) <= sum(1 for x in w[:i] if x >= j)
+               for i in range(1, n) for j in range(2, n + 1))
+
+
+def bp_maximal_scan(w, J, K, u):
+    """The W_K scan: u admits no strictly larger element of W_K without a
+    right descent in J below w.  Elements below w come from the subword
+    interval, comparisons above u from the rank criterion."""
+    below = subword_interval(w)
+    return not any(x != u and x in below and not any(x[j - 1] > x[j] for j in J)
+                   and rank_leq(u, x) for x in parabolic_group(K, len(w)))
+
+
+def max_levi_by_length(w, J):
+    """Indices i with s_i * w not lengthening the coset representative,
+    the coset minimum found by enumerating the whole coset."""
+    lw = inv_count(w)
+    return frozenset(i for i in range(1, len(w))
+                     if inv_count(coset_min(swap_values(w, i), J)) <= lw)

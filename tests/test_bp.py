@@ -54,6 +54,20 @@ class TestParabolicDecompose:
                 assert v == oracles.coset_min(w, K)
 
 
+def random_decomposition(data, low, high):
+    """Draw ``n`` in ``[low, high]``, nested ``J <= K`` and a uniform element
+    of ``W^J``, and decompose it."""
+    n = data.draw(st.integers(low, high), label="n")
+    # each simple root lies in J, in K - J, or outside K
+    where = data.draw(st.lists(st.sampled_from("JK-"), min_size=n - 1,
+                               max_size=n - 1), label="J, K")
+    J = frozenset(i for i, c in enumerate(where, 1) if c == "J")
+    K = frozenset(i for i, c in enumerate(where, 1) if c != "-")
+    # the coset representative of a permutation: uniform over W^J
+    x = data.draw(st.permutations(range(1, n + 1)), label="x")
+    return bp.decompose(weyl.min_coset_rep(tuple(x), J), J, K)
+
+
 class TestCharacterizations:
     def test_worked_s3_instance(self):
         d = bp.decompose((3, 2, 1), (), {1})
@@ -90,18 +104,9 @@ class TestCharacterizations:
     @settings(max_examples=60)
     @given(st.data())
     def test_three_way_equivalence_at_ranks_6_7(self, data):
-        n = data.draw(st.integers(6, 7), label="n")
-        # each simple root lies in J, in K - J, or outside K
-        where = data.draw(st.lists(st.sampled_from("JK-"), min_size=n - 1,
-                                   max_size=n - 1), label="J, K")
-        J = frozenset(i for i, c in enumerate(where, 1) if c == "J")
-        K = frozenset(i for i, c in enumerate(where, 1) if c != "-")
-        # the coset representative of a permutation: uniform over W^J
-        x = data.draw(st.permutations(range(1, n + 1)), label="x")
-        w = weyl.min_coset_rep(tuple(x), J)
-        d = bp.decompose(w, J, K)
+        d = random_decomposition(data, 6, 7)
         assert bp.is_bp_maximality(d) == bp.is_bp_support(d) \
-            == bp.poincare_factorizes(d), (w, J, K)
+            == bp.poincare_factorizes(d), (d.w, d.J, d.K)
 
     def test_decompose_bundle(self):
         got = bp.decompose((3, 2, 1), (), {1})
@@ -114,6 +119,49 @@ class TestCharacterizations:
             "v": [2, 3, 1], "u": [2, 1, 3], "bp": True,
             "characterizations": {
                 "maximality": True, "support": True, "poincare": True}}
+
+
+class TestMaximality:
+    """The Demazure-product maximality test against the scan over all of
+    ``W_K`` that it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_scan_exhaustively(self, n):
+        for J, K in subset_pairs(n):
+            for w in weyl.quotient_reps(n, J):
+                d = bp.decompose(w, J, K)
+                assert bp.is_bp_maximality(d) == \
+                    oracles.bp_maximal_scan(w, J, K, d.u), (w, J, K)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_scan_at_ranks_7_8(self, data):
+        d = random_decomposition(data, 7, 8)
+        assert bp.is_bp_maximality(d) == oracles.bp_maximal_scan(d.w, d.J, d.K, d.u)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_support_above_the_cap(self, data):
+        # neither test enumerates, so they are compared past RANK_LIMIT
+        d = random_decomposition(data, 9, 14)
+        assert bp.is_bp_maximality(d) == bp.is_bp_support(d)
+
+    def test_never_enumerates(self, monkeypatch):
+        calls = []
+        for name in ("_parabolic_elements", "_quotient_reps", "quotient_reps"):
+            fn = getattr(weyl, name)
+            monkeypatch.setattr(weyl, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        w = (6, 2, 5, 4, 3, 1, *range(7, 13))
+        d = bp.decompose(w, (), frozenset(range(1, 12)) - {2})
+        assert bp.is_bp_maximality(d) and bp.is_bp_support(d)
+        d = bp.decompose((1, 12, *range(2, 12)), (), {11})
+        assert not bp.is_bp_maximality(d) and not bp.is_bp_support(d)
+        assert calls == []
+        # the wrapping sees the enumerating test
+        with pytest.raises(weyl.RankLimitError):
+            bp.poincare_factorizes(d)
+        assert calls
 
 
 def projections(d):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from levischubert import grassmann, levi, weyl
 from levischubert.grassmann import GrassmannSchubert
 
@@ -68,6 +69,25 @@ class TestMaxLevi:
         # with no quotient the reflection test reduces to left descents
         for w in itertools.permutations(range(1, 6)):
             assert levi.max_levi(w) == weyl.left_descents(w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_length_test_exhaustively(self, n):
+        # the closed form against the coset-representative length test
+        for J in subsets(n):
+            for w in oracles.quotient_perms(n, J):
+                assert levi.max_levi(w, J) == oracles.max_levi_by_length(w, J), (w, J)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_matches_length_test_at_ranks_7_8(self, data):
+        n = data.draw(st.integers(7, 8), label="n")
+        # each simple root in J or not, as in the bp draws
+        inside = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+                           label="J")
+        J = frozenset(i for i, c in enumerate(inside, 1) if c)
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        assert levi.max_levi(w, J) == oracles.max_levi_by_length(w, J)
 
 
 class TestHeadCriterion:
