@@ -121,7 +121,7 @@ class HeadReport:
     ``heads`` is sorted by (length, lex).  ``minimal_head`` is the unique
     Bruhat-minimum of the head set (None when the set is empty);
     ``maximal_proper_heads`` are the Bruhat-maximal heads strictly below
-    the reference element.
+    the reference element, in the order of ``heads``: the boundary.
     """
 
     heads: tuple[Perm, ...]
@@ -140,8 +140,11 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """Enumerate every degree-1 head below ``tau``: the ``theta <= tau``
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
 
-    The enumeration is exhaustive over the lower interval; ranks above the
-    configured cap are refused.
+    The enumeration is exhaustive over ``W^J``; ranks above the configured
+    cap are refused.  The maximal proper heads are found longest first: a
+    head that is not maximal lies below a maximal one, which is longer and
+    so already kept.  With ``H`` the heads and ``M`` the maximal proper
+    ones this makes at most ``|W^J| + |H| * (|M| + 1)`` Bruhat tests.
     """
     J, I = frozenset(J), frozenset(I)
     weyl.require_quotient(tau, J)
@@ -154,10 +157,11 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     if any(not weyl.bruhat_leq(mh, h) for h in found):
         # the orbit closure through the base point is the unique minimum
         raise RuntimeError(f"head set below {tau} has no unique minimum")
-    proper = [h for h in found if h != tau]
-    maximal = tuple(h for h in proper
-                    if not any(h != g and weyl.bruhat_leq(h, g) for g in proper))
-    return HeadReport(tuple(found), mh, maximal)
+    maximal: list[Perm] = []
+    for h in reversed(found):
+        if h != tau and not any(weyl.bruhat_leq(h, g) for g in maximal):
+            maximal.append(h)
+    return HeadReport(tuple(found), mh, tuple(reversed(maximal)))
 
 
 def contains_levi_orbit(tau: Perm, J: Iterable[int], I: Iterable[int]) -> bool:

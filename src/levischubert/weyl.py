@@ -21,7 +21,6 @@ shared freely and dropped into sets.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -118,9 +117,15 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Bruhat-Chevalley comparison via the sorted-prefix criterion:
-    ``u <= w`` iff every sorted prefix of ``u`` is entrywise at most the
-    sorted prefix of ``w`` of the same size.
+    """Bruhat-Chevalley comparison by the rank criterion (Bjorner-Brenti,
+    Thm 2.1.5): ``u <= w`` iff for every prefix length ``k`` and value
+    ``j``, at least as many of ``w(1..k)`` as of ``u(1..k)`` are ``>= j``.
+
+    One pass keeps ``diff[j]``, that surplus for the current prefix.
+    Extending the prefix by ``u_k`` and ``w_k`` changes ``diff`` only for
+    ``j`` between the two, and lowers it only when ``u_k > w_k``, so only
+    those entries can turn negative.  The cost is O(n^2) at worst and O(n)
+    when the two permutations stay close.
 
     >>> bruhat_leq((2, 4, 1, 3), (3, 4, 1, 2))
     True
@@ -129,13 +134,17 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     """
     if len(u) != len(w):
         raise ValueError("rank mismatch")
-    su: list[int] = []
-    sw: list[int] = []
+    diff = [0] * (len(u) + 1)
     for k in range(len(u) - 1):
-        insort(su, u[k])
-        insort(sw, w[k])
-        if any(a > b for a, b in zip(su, sw)):
-            return False
+        a, b = u[k], w[k]
+        if a < b:
+            for j in range(a + 1, b + 1):
+                diff[j] += 1
+        elif a > b:
+            for j in range(b + 1, a + 1):
+                if not diff[j]:
+                    return False
+                diff[j] -= 1
     return True
 
 

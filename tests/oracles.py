@@ -2,15 +2,17 @@
 
 These deliberately avoid the production code paths: lengths come from BFS
 or double loops, Bruhat comparisons from subwords of a reduced word or from
-rank counts, coset representatives from full coset enumeration, and the
-Billey-Postnikov maximality and the Levi stabilizer from scans over whole
-parabolic subgroups.
+rank counts, coset representatives from enumerating the arrangements of
+each position block, the Billey-Postnikov maximality from scans over whole
+parabolic subgroups, the Levi stabilizer from coset lengths, and the
+degree-1 heads from scans of the subword interval.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 
 
 def ident(n):
@@ -113,13 +115,28 @@ def parabolic_group(J, n):
     return out
 
 
-def coset_min(w, J):
-    """Minimum-length element of w W_J by enumerating the whole coset."""
-    coset = [multiply(w, x) for x in parabolic_group(J, len(w))]
-    lengths = [inv_count(c) for c in coset]
+@lru_cache(maxsize=None)
+def _least_arrangement(values):
+    """The arrangement of a set of values with fewest inversions, found by
+    enumerating every arrangement; it must be the only one."""
+    arrangements = list(itertools.permutations(values))
+    lengths = [inv_count(a) for a in arrangements]
     least = min(lengths)
     assert lengths.count(least) == 1
-    return coset[lengths.index(least)]
+    return arrangements[lengths.index(least)]
+
+
+def coset_min(w, J):
+    """Minimum-length element of w W_J.  Right multiplication by W_J
+    rearranges the entries inside each position block, and whether two
+    entries of different blocks form an inversion does not depend on those
+    arrangements, so each block is minimized on its own."""
+    out = list(w)
+    for block in position_block_lists(J, len(w)):
+        least = _least_arrangement(frozenset(w[p - 1] for p in block))
+        for p, v in zip(block, least):
+            out[p - 1] = v
+    return tuple(out)
 
 
 def coset_longest(J, n):
@@ -142,13 +159,20 @@ def covers_below(w, J, n):
             if inv_count(t) == target and t in interval}
 
 
+@lru_cache(maxsize=None)
+def rank_matrix(w):
+    """Entry (i, j), for 1 <= i < n and 2 <= j <= n: how many of w(1..i)
+    are >= j."""
+    n = len(w)
+    return tuple(sum(1 for x in w[:i] if x >= j)
+                 for i in range(1, n) for j in range(2, n + 1))
+
+
 def rank_leq(u, w):
     """Bruhat order by the rank-matrix criterion: u <= w iff for every
     prefix length i and threshold j, at most as many of u(1..i) as of
     w(1..i) are >= j."""
-    n = len(u)
-    return all(sum(1 for x in u[:i] if x >= j) <= sum(1 for x in w[:i] if x >= j)
-               for i in range(1, n) for j in range(2, n + 1))
+    return all(a <= b for a, b in zip(rank_matrix(tuple(u)), rank_matrix(tuple(w))))
 
 
 def bp_maximal_scan(w, J, K, u):
@@ -166,3 +190,32 @@ def max_levi_by_length(w, J):
     lw = inv_count(w)
     return frozenset(i for i in range(1, len(w))
                      if inv_count(coset_min(swap_values(w, i), J)) <= lw)
+
+
+_stabilizer = lru_cache(maxsize=None)(max_levi_by_length)
+
+
+@lru_cache(maxsize=None)
+def _stable_interval(tau, J):
+    """The elements of W^J below tau with their Levi stabilizers, sorted
+    by (length, lex): the interval from the subword oracle, stability from
+    the length test."""
+    below = [x for x in subword_interval(tau) if not any(x[j - 1] > x[j] for j in J)]
+    below.sort(key=lambda x: (inv_count(x), x))
+    return tuple((x, _stabilizer(x, J)) for x in below)
+
+
+def heads_scan(tau, J, I):
+    """(heads, minimal head, maximal proper heads) below tau by brute force:
+    the I-stable elements of the interval, the one rank_leq-below all of
+    them, and the proper ones rank_leq-below no other proper one.  Heads
+    and maximal heads are sorted by (length, lex)."""
+    J, I = frozenset(J), frozenset(I)
+    heads = [x for x, stab in _stable_interval(tuple(tau), J) if I <= stab]
+    minima = [h for h in heads if all(rank_leq(h, g) for g in heads)]
+    assert len(minima) == (1 if heads else 0)
+    proper = [h for h in heads if h != tuple(tau)]
+    # g > h forces g to be longer, so only later elements can lie above h
+    maximal = [h for i, h in enumerate(proper)
+               if not any(rank_leq(h, g) for g in proper[i + 1:])]
+    return tuple(heads), (minima[0] if heads else None), tuple(maximal)

@@ -77,14 +77,14 @@ class TestMaxLevi:
             for w in oracles.quotient_perms(n, J):
                 assert levi.max_levi(w, J) == oracles.max_levi_by_length(w, J), (w, J)
 
-    @settings(max_examples=30)
+    @settings(max_examples=40)
     @given(st.data())
     def test_matches_length_test_at_ranks_7_8(self, data):
         n = data.draw(st.integers(7, 8), label="n")
-        # each simple root in J or not, as in the bp draws
-        inside = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
-                           label="J")
-        J = frozenset(i for i, c in enumerate(inside, 1) if c)
+        # |J| uniform, so large J (long position blocks) are drawn as often as small
+        size = data.draw(st.integers(0, n - 1), label="|J|")
+        J = data.draw(st.frozensets(st.integers(1, n - 1), min_size=size, max_size=size),
+                      label="J")
         x = data.draw(st.permutations(range(1, n + 1)), label="x")
         w = weyl.min_coset_rep(tuple(x), J)
         assert levi.max_levi(w, J) == oracles.max_levi_by_length(w, J)
@@ -151,6 +151,44 @@ class TestHeadsBelow:
         for h in report.heads:
             assert levi.is_stable(h, {1, 3, 4}, {1, 2})
             assert weyl.bruhat_leq(h, (3, 4, 1, 2, 5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_scan_exhaustively(self, n):
+        # heads, minimal head and boundary (in order) against the interval scan
+        for J in subsets(n):
+            for tau in oracles.quotient_perms(n, J):
+                for I in subsets(n):
+                    assert report(tau, J, I) == oracles.heads_scan(tau, J, I), (tau, J, I)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_scan_at_ranks_6_7(self, data):
+        n = data.draw(st.integers(6, 7), label="n")
+        inside = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+                           label="J")
+        J = frozenset(i for i, c in enumerate(inside, 1) if c)
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        tau = weyl.min_coset_rep(tuple(x), J)
+        # a Levi stabilizing tau when there is one, so the head set is rarely empty
+        roots = sorted(levi.max_levi(tau, J)) or range(1, n)
+        I = data.draw(st.frozensets(st.sampled_from(roots), min_size=1), label="I")
+        assert report(tau, J, I) == oracles.heads_scan(tau, J, I)
+
+    def test_bruhat_calls_bounded(self, monkeypatch):
+        # the filter tests each of W^J, the minimum check each head, and the
+        # longest-first boundary each head against the maximal ones kept
+        calls = []
+        fn = weyl.bruhat_leq
+        monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: calls.append(1) or fn(u, w))
+        got = levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {2})
+        assert (len(got.heads), len(got.maximal_proper_heads)) == (2520, 5)
+        assert len(calls) <= 5040 + 2520 * (5 + 1)
+
+
+def report(tau, J, I):
+    """``heads_below`` as the triple that ``oracles.heads_scan`` returns."""
+    got = levi.heads_below(tau, J, I)
+    return got.heads, got.minimal_head, got.maximal_proper_heads
 
 
 class TestContainsOrbit:

@@ -41,6 +41,35 @@ class TestBruhat:
             for u in perms:
                 assert weyl.bruhat_leq(u, w) == (u in interval), (u, w)
 
+    @pytest.mark.parametrize("u,w,expected", [
+        # an entry 1 opposite an entry n: the whole rank column moves at once
+        ((1, 2, 3, 4, 5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 2, 1), True),
+        ((8, 7, 6, 5, 4, 3, 2, 1), (1, 2, 3, 4, 5, 6, 7, 8), False),
+        ((8, 1, 2, 3, 4, 5, 6, 7), (1, 8, 2, 3, 4, 5, 6, 7), False),
+        ((1, 8, 2, 3, 4, 5, 6, 7), (8, 1, 2, 3, 4, 5, 6, 7), True),
+        ((1, 8, 2, 3, 4, 5, 6, 7), (7, 1, 2, 3, 4, 5, 6, 8), False),
+        # the last position is never compared: the full prefixes balance
+        ((1, 2, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 1), True),
+        ((2, 3, 4, 5, 6, 7, 8, 1), (8, 1, 2, 3, 4, 5, 6, 7), False),
+    ])
+    def test_frozen_extreme_steps(self, u, w, expected):
+        assert weyl.bruhat_leq(u, w) is expected
+        assert oracles.rank_leq(u, w) is expected
+        assert (u in oracles.subword_interval(w)) is expected
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_agrees_with_oracles_at_ranks_7_8(self, data):
+        n = data.draw(st.integers(7, 8), label="n")
+        w = tuple(data.draw(st.permutations(range(1, n + 1)), label="w"))
+        interval = oracles.subword_interval(w)
+        # half the draws from the interval, so both verdicts occur
+        if data.draw(st.booleans(), label="from interval"):
+            u = data.draw(st.sampled_from(sorted(interval)), label="u")
+        else:
+            u = tuple(data.draw(st.permutations(range(1, n + 1)), label="u"))
+        assert weyl.bruhat_leq(u, w) == oracles.rank_leq(u, w) == (u in interval)
+
     def test_rank_oracle_agrees_with_subword_oracle(self):
         perms = list(itertools.permutations(range(1, 5)))
         for w in perms:
