@@ -3,8 +3,9 @@ homogeneous spaces, and the dimension counts showing that their two closed
 orbits sit in codimension at least two.
 
 :data:`FAMILIES` is the one table of the families: their Dynkin type, the
-least ``m``, whether a member takes a parameter ``i``, its space and its
-dimension formulas.  Everything in this module reads it; nothing restates it.
+least ``m``, whether a member takes a parameter ``i``, the pattern of its
+space and its dimension formulas.  Everything in this module reads it;
+nothing restates it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Callable, Iterator, Optional
 @dataclass(frozen=True)
 class CaseFamily:
     """One parameterized family: a marked Dynkin diagram with two adjacent
-    fundamental weights and the homogeneous space it produces, as a
-    pattern and as a function of a member's ``(m, i)``."""
+    fundamental weights, the pattern of the homogeneous space it produces,
+    and the dimensions of a member ``(m, i)``."""
 
     tag: str
     dynkin: str
@@ -25,7 +26,6 @@ class CaseFamily:
     needs_i: bool
     marked_roots: str
     space_pattern: str
-    space: Callable[[int, Optional[int]], str]
     dimensions: Callable[[int, Optional[int]], tuple[int, int, int]]
 
     def to_json(self) -> dict:
@@ -44,16 +44,13 @@ class CaseFamily:
 FAMILIES: tuple[CaseFamily, ...] = (
     CaseFamily("a", "A", 2, False, "(A_m, alpha_1, alpha_m)",
                "SO(2m+2)/P(omega_1)",
-               lambda m, i: f"SO({2 * m + 2})/P(omega_1)",
                lambda m, i: (2 * m, m, m)),
     CaseFamily("b", "A", 3, True, "(A_m, alpha_i, alpha_{i+1})",
                "Gr(i+1, m+2)",
-               lambda m, i: f"Gr({i + 1}, {m + 2})",
                lambda m, i: ((m - i + 1) * (i + 1), (m - i + 1) * i,
                              (m - i) * (i + 1))),
     CaseFamily("c", "D", 4, False, "(D_m, alpha_{m-1}, alpha_m)",
                "Spin(2m+1)/P(omega_m)",
-               lambda m, i: f"Spin({2 * m + 1})/P(omega_{m})",
                lambda m, i: (m * (m + 1) // 2, m * (m - 1) // 2, m * (m - 1) // 2)),
 )
 
@@ -80,19 +77,6 @@ class HorosphericalCase:
                 raise ValueError(f"family {self.tag} takes no parameter i")
         elif self.i is None or not 1 <= self.i <= self.m - 1:
             raise ValueError(f"family {self.tag} requires 1 <= i <= m-1")
-
-    def homogeneous_space(self) -> str:
-        return _BY_TAG[self.tag].space(self.m, self.i)
-
-    def to_json(self) -> dict:
-        dims = case_dimensions(self)
-        return {
-            "tag": self.tag,
-            "m": self.m,
-            "i": self.i,
-            "space": self.homogeneous_space(),
-            "dimensions": list(dims),
-        }
 
 
 def case_dimensions(case: HorosphericalCase) -> tuple[int, int, int]:

@@ -130,6 +130,7 @@ def _cmd_analyze(args) -> int:
     stab = levi.max_levi(w, J)
     report = levi.heads_below(w, J, I)
     out = {
+        **report.to_json(),
         "command": "analyze",
         "n": n,
         "w": list(w),
@@ -138,9 +139,7 @@ def _cmd_analyze(args) -> int:
         "length": weyl.length(w),
         "max_levi": sorted(stab),
         "stable": I <= stab,
-        "minimal_head": list(levi.minimal_head(J, I, n)),
-        "heads": [list(h) for h in report.heads],
-        "maximal_proper_heads": [list(h) for h in report.maximal_proper_heads],
+        "minimal_head": list(levi.minimal_head(J, I, n)),  # even with no head
         "boundary": ([list(h) for h in sorted(report.maximal_proper_heads)]
                      if I <= stab else None),
     }

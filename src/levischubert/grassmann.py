@@ -47,10 +47,6 @@ class GrassmannSchubert:
         """The parabolic subset omitting only the descent position."""
         return frozenset(i for i in range(1, self.n) if i != self.d)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.columns == tuple(range(1, self.d + 1))
-
     @classmethod
     def from_columns(cls, n: int, d: int, columns: Iterable[int]) -> "GrassmannSchubert":
         cols = sorted(columns)

@@ -118,8 +118,8 @@ def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
 class HeadReport:
     """Degree-1 heads below a reference element.
 
-    ``heads`` is sorted by (length, lex).  ``minimal_head`` is the unique
-    Bruhat-minimum of the head set (None when the set is empty);
+    ``heads`` is sorted by (length, lex).  ``minimal_head`` is their unique
+    Bruhat-minimum, :func:`minimal_head` (None when there is no head);
     ``maximal_proper_heads`` are the Bruhat-maximal heads strictly below
     the reference element, in the order of ``heads``: the boundary.
     """
@@ -141,10 +141,11 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
 
     The enumeration is exhaustive over ``W^J``; ranks above the configured
-    cap are refused.  The maximal proper heads are found longest first: a
-    head that is not maximal lies below a maximal one, which is longer and
-    so already kept.  With ``H`` the heads and ``M`` the maximal proper
-    ones this makes at most ``|W^J| + |H| * (|M| + 1)`` Bruhat tests.
+    cap are refused.  The minimal head is :func:`minimal_head`, checked to
+    lie below every head.  The maximal proper heads are found longest
+    first: a head that is not maximal lies below a maximal one, which is
+    longer and so already kept.  With ``H`` the heads and ``M`` the maximal
+    proper ones this makes at most ``|W^J| + |H| * (|M| + 1)`` Bruhat tests.
     """
     J, I = frozenset(J), frozenset(I)
     weyl.require_quotient(tau, J)
@@ -153,9 +154,9 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     found.sort(key=lambda t: (weyl.length(t), t))
     if not found:
         return HeadReport((), None, ())
-    mh = found[0]
+    mh = minimal_head(J, I, len(tau))
     if any(not weyl.bruhat_leq(mh, h) for h in found):
-        # the orbit closure through the base point is the unique minimum
+        # mh is I-stable in W^J, so below every head it is the least head
         raise RuntimeError(f"head set below {tau} has no unique minimum")
     maximal: list[Perm] = []
     for h in reversed(found):

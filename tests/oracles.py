@@ -159,6 +159,19 @@ def covers_below(w, J, n):
             if inv_count(t) == target and t in interval}
 
 
+def covers_by_length(w, J):
+    """W^J elements w (i j) one inversion below w: the Bruhat covers are
+    exactly the reflections that lower the length by one."""
+    target = inv_count(w) - 1
+    out = set()
+    for i, j in itertools.combinations(range(len(w)), 2):
+        t = list(w)
+        t[i], t[j] = t[j], t[i]
+        if inv_count(t) == target and not any(t[k - 1] > t[k] for k in J):
+            out.add(tuple(t))
+    return out
+
+
 @lru_cache(maxsize=None)
 def rank_matrix(w):
     """Entry (i, j), for 1 <= i < n and 2 <= j <= n: how many of w(1..i)

@@ -19,11 +19,6 @@ class TestFamilies:
 
 
 class TestCases:
-    def test_smallest_members(self):
-        assert HorosphericalCase("a", 2).homogeneous_space() == "SO(6)/P(omega_1)"
-        assert HorosphericalCase("b", 3, 1).homogeneous_space() == "Gr(2, 5)"
-        assert HorosphericalCase("c", 4).homogeneous_space() == "Spin(9)/P(omega_4)"
-
     @pytest.mark.parametrize("tag,m,i", [
         ("a", 1, None),
         ("b", 2, 1),

@@ -252,6 +252,16 @@ class TestInternalError:
             "error: internal: RuntimeError: "
             "head set below (3, 4, 1, 2) has no unique minimum"]
 
+    def test_wrong_minimal_head_exits_four(self, capsys, monkeypatch):
+        # the real heads_below, whose self-check rejects a wrong closed form
+        monkeypatch.setattr(levi, "minimal_head", lambda J, I, n: (3, 4, 1, 2))
+        code, out, err = run_cli(
+            capsys, "analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2")
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "error: internal: RuntimeError: "
+            "head set below (3, 4, 1, 2) has no unique minimum"]
+
 
 class TestClassifyCommand:
     def test_table_and_sweep(self, capsys):

@@ -11,10 +11,6 @@ class TestConstruction:
         assert x.columns == (2, 6)
         assert x.quotient == frozenset({1, 3, 4, 5})
 
-    def test_identity_is_flagged(self):
-        assert GrassmannSchubert(3, (1, 2, 3, 4, 5)).is_identity
-        assert not GrassmannSchubert(2, (1, 3, 2, 4)).is_identity
-
     @pytest.mark.parametrize("d,w", [
         (0, (1, 2, 3)),
         (3, (1, 2, 3)),

@@ -154,11 +154,15 @@ class TestHeadsBelow:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_scan_exhaustively(self, n):
-        # heads, minimal head and boundary (in order) against the interval scan
+        # heads, minimal head and boundary (in order) against the interval
+        # scan, and the minimal-head orbit test against the scanned heads
         for J in subsets(n):
             for tau in oracles.quotient_perms(n, J):
                 for I in subsets(n):
-                    assert report(tau, J, I) == oracles.heads_scan(tau, J, I), (tau, J, I)
+                    expected = oracles.heads_scan(tau, J, I)
+                    assert report(tau, J, I) == expected, (tau, J, I)
+                    assert levi.contains_levi_orbit(tau, J, I) == bool(expected[0]), \
+                        (tau, J, I)
 
     @settings(max_examples=40)
     @given(st.data())
@@ -184,6 +188,12 @@ class TestHeadsBelow:
         assert (len(got.heads), len(got.maximal_proper_heads)) == (2520, 5)
         assert len(calls) <= 5040 + 2520 * (5 + 1)
 
+    def test_wrong_closed_form_fails_the_self_check(self, monkeypatch):
+        # the closed-form minimal head must lie below every head found
+        monkeypatch.setattr(levi, "minimal_head", lambda J, I, n: (3, 4, 1, 2))
+        with pytest.raises(RuntimeError, match="has no unique minimum"):
+            levi.heads_below((3, 4, 1, 2), (), {2})
+
 
 def report(tau, J, I):
     """``heads_below`` as the triple that ``oracles.heads_scan`` returns."""
@@ -202,15 +212,6 @@ class TestContainsOrbit:
 
     def test_frozen_negative_n5(self):
         assert not levi.contains_levi_orbit((1, 3, 2, 4, 5), {1, 3, 4}, {2, 3})
-
-    def test_nonempty_iff_minimal_head_below(self):
-        # the minimal-head comparison against the head enumeration
-        for n in range(2, 6):
-            for J in subsets(n):
-                for I in subsets(n):
-                    for tau in weyl.quotient_reps(n, J):
-                        assert levi.contains_levi_orbit(tau, J, I) == \
-                            bool(levi.heads_below(tau, J, I).heads), (tau, J, I)
 
 
 class TestMinimalHead:

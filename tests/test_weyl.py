@@ -215,6 +215,30 @@ class TestLowerCovers:
                     assert weyl.bruhat_leq(tau, w) and tau != w
                     assert weyl.length(tau) == weyl.length(w) - 1
 
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_length_oracle_at_ranks_7_8(self, data):
+        n = data.draw(st.integers(7, 8), label="n")
+        # |J| uniform, so long position blocks are drawn as often as short
+        size = data.draw(st.integers(0, n - 1), label="|J|")
+        J = data.draw(st.frozensets(st.integers(1, n - 1), min_size=size, max_size=size),
+                      label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        assert weyl.lower_covers(w, J) == oracles.covers_by_length(w, J)
+
+    @pytest.mark.parametrize("w,J,count", [
+        # w0: only adjacent swaps have nothing in between
+        ((12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (), 11),
+        ((5, 12, 3, 9, 1, 11, 7, 2, 10, 4, 8, 6), (), 18),
+        ((3, 7, 12, 1, 5, 9, 11, 2, 4, 6, 8, 10), {1, 2, 4, 5, 6, 8, 9, 10, 11}, 8),
+        ((2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1), (), 11),
+    ])
+    def test_matches_length_oracle_at_rank_12(self, w, J, count):
+        covers = weyl.lower_covers(w, J)
+        assert covers == oracles.covers_by_length(w, J)
+        assert len(covers) == count
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_no_intermediate_element(self, n):
         subsets = [frozenset(c) for r in range(n)
