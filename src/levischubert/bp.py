@@ -7,10 +7,14 @@ divisors under the induced projection.
 functions take its :class:`BPDecomposition`.  The decomposition *factors*
 (is BP) when the generating function of ``w`` over ``W^J`` is the product
 of those of ``v`` over ``W^K`` and ``u`` over ``W^J``.  The polynomial
-support/descent test decides this everywhere, including the guard of
-:func:`project_divisors` and the filter of the projection sweep; the
-maximality of ``u`` is polynomial too.  Only the defining identity
-enumerates, so only the ``bp`` report and the ``bp-equivalence`` sweep run it.
+support/descent test decides this everywhere, including the filter of the
+projection sweep; the maximality of ``u`` is polynomial too.  Only the
+defining identity enumerates, so only the ``bp`` report and the
+``bp-equivalence`` sweep run it.
+
+:func:`project_divisors` sorts every Schubert divisor of ``w`` into one of
+three kinds, for any decomposition; the projection sweep checks that a
+factoring one never yields :data:`NEITHER`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .weyl import Perm
 
 ONTO = "onto-image"
 DIVISOR = "unique-divisor"
+NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,13 @@ def poincare_factorizes(d: BPDecomposition) -> bool:
 
 def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     """Classify the image of every Schubert divisor ``tau`` of ``d.w`` under
-    the coset projection attached to ``d.K``: the image is either ``v``
-    itself (the projection stays onto) or a single Schubert divisor of
-    ``v``.  Returns ``(tau, image, kind)`` triples in the iteration order
-    of ``weyl.lower_covers(d.w, d.J)``.
+    the coset projection attached to ``d.K``: :data:`ONTO` when the image
+    is ``v`` itself, :data:`DIVISOR` when it is a Schubert divisor of
+    ``v``, :data:`NEITHER` otherwise.  Returns ``(tau, image, kind)``
+    triples in the iteration order of ``weyl.lower_covers(d.w, d.J)``.
 
-    The dichotomy is a theorem only for factoring decompositions, so a
-    non-BP pair is rejected: without the factorization the image can drop
+    When the decomposition factors, no divisor is :data:`NEITHER` (the
+    projection dichotomy); without the factorization an image can drop
     more than one dimension.
 
     >>> for tau, image, kind in sorted(project_divisors(decompose((3, 2, 1), (), {1}))):
@@ -118,21 +123,11 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     (2, 3, 1) (2, 3, 1) onto-image
     (3, 1, 2) (1, 3, 2) unique-divisor
     """
-    if not is_bp_support(d):
-        raise ValueError(
-            f"the decomposition of {d.w} at K={sorted(d.K)} does not factor; "
-            "the projection dichotomy is not guaranteed")
     vcovers = weyl.lower_covers(d.v, d.K)
     out = []
     for tau in weyl.lower_covers(d.w, d.J):
         image = weyl.min_coset_rep(tau, d.K)
-        if image == d.v:
-            kind = ONTO
-        elif image in vcovers:
-            kind = DIVISOR
-        else:
-            raise RuntimeError(
-                f"projection dichotomy violated for {tau} under K={sorted(d.K)}")
+        kind = ONTO if image == d.v else DIVISOR if image in vcovers else NEITHER
         out.append((tau, image, kind))
     return tuple(out)
 

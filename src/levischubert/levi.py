@@ -149,12 +149,12 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """
     J, I = frozenset(J), frozenset(I)
     weyl.require_quotient(tau, J)
+    mh = minimal_head(J, I, len(tau))  # refuses I outside 1..n-1 up front
     found = [t for t in weyl.quotient_reps(len(tau), J)
              if weyl.bruhat_leq(t, tau) and I <= max_levi(t, J)]
     found.sort(key=lambda t: (weyl.length(t), t))
     if not found:
         return HeadReport((), None, ())
-    mh = minimal_head(J, I, len(tau))
     if any(not weyl.bruhat_leq(mh, h) for h in found):
         # mh is I-stable in W^J, so below every head it is the least head
         raise RuntimeError(f"head set below {tau} has no unique minimum")

@@ -275,11 +275,6 @@ def _parabolic_elements(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     return tuple(sorted(out))
 
 
-def in_parabolic(w: Perm, J: Iterable[int]) -> bool:
-    """True iff ``w`` lies in ``W_J``."""
-    return min_coset_rep(w, J) == identity(len(w))
-
-
 def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
     """Elements of ``W^J`` one length below ``w`` in Bruhat order.
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from levischubert import cli, levi, sweeps, weyl
+from levischubert import bp, classify, cli, grassmann, levi, sweeps, toroidal, weyl
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +174,48 @@ class TestBp:
         assert code == 2
 
 
+def misrouted(run_divisors):
+    """``run_divisors`` with each divisor paired to the next run."""
+    def wrong(x):
+        pairs = run_divisors(x)
+        divs = [div for _, div in pairs]
+        return tuple((idx, div) for (idx, _), div in zip(pairs, divs[1:] + divs[:1]))
+    return wrong
+
+
+#: check -> (module, function, mutant of the original, bound): one wrong
+#: function each sweep calls, which it must then report as a violation
+MUTANTS = {
+    "head-oracle": (levi, "is_degree1_head", lambda f: lambda x, I: True, 3),
+    "divisor-stability": (grassmann, "run_divisors", misrouted, 4),
+    "smooth-unique-head": (
+        levi, "minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
+    "singular-no-stable-divisor": (
+        toroidal, "divisor_stability",
+        lambda f: lambda x, I: tuple((idx, div, True) for idx, div, _ in f(x, I)), 4),
+    "bp-equivalence": (bp, "is_bp_support", lambda f: lambda d: True, 3),
+    # v then has no divisors, so every non-onto image is neither
+    "projection-dichotomy": (
+        weyl, "lower_covers", lambda f: lambda w, J=(): frozenset() if J else f(w, J), 4),
+    "smooth-palindromic": (grassmann, "smooth_form", lambda f: lambda x: None, 4),
+    "classify-codim": (classify, "case_dimensions", lambda f: lambda case: (1, 1, 1), 3),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("check", sorted(sweeps.SWEEPS))
+    def test_every_sweep_can_fail(self, capsys, monkeypatch, check):
+        # a sweep without an entry in MUTANTS fails here with KeyError
+        module, name, mutate, bound = MUTANTS[check]
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        code, out, _ = run_cli(
+            capsys, "sweep", "--check", check, "--max-n", str(bound))
+        *records, summary = json_lines(out)
+        assert code == 1
+        assert summary == {"check": check, "instances": len(records),
+                           "violations": sum(not r["ok"] for r in records)}
+        assert summary["violations"] > 0
+
     def test_head_oracle_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--check", "head-oracle", "--max-n", "4",

@@ -194,6 +194,12 @@ class TestHeadsBelow:
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
+    def test_levi_index_out_of_range(self):
+        # refused like contains_levi_orbit, not answered with no heads
+        for query in (levi.heads_below, levi.contains_levi_orbit):
+            with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
+                query((3, 1, 2), (), {5})
+
 
 def report(tau, J, I):
     """``heads_below`` as the triple that ``oracles.heads_scan`` returns."""

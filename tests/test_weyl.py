@@ -173,7 +173,6 @@ class TestCosetReps:
                 for J in itertools.combinations(range(1, n), r):
                     got = weyl._parabolic_elements(n, frozenset(J))
                     assert got == tuple(sorted(oracles.parabolic_group(J, n)))
-                    assert all(weyl.in_parabolic(x, J) for x in got)
 
 
 class TestQuotientReps:
