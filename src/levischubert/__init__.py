@@ -3,12 +3,12 @@ toroidal necessary conditions, and parabolic factorizations."""
 
 from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 from .grassmann import GrassmannSchubert
-from .levi import HeadReport, LeviBlocks
+from .levi import HeadReport
 from .weyl import Perm, RankLimitError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "bp", "classify", "grassmann", "levi", "sweeps", "toroidal", "weyl",
-    "GrassmannSchubert", "HeadReport", "LeviBlocks", "Perm", "RankLimitError",
+    "GrassmannSchubert", "HeadReport", "Perm", "RankLimitError",
 ]

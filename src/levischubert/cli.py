@@ -9,7 +9,8 @@ Exit codes: 0 ok, 1 violation found in a verification sweep, 2 usage
 error (a bound that yields no instances included), 3 rank limit exceeded,
 4 internal error (any other exception, such as a failed invariant
 self-check).  A reader that closes stdout early ends the run quietly with
-141, the status of a process killed by SIGPIPE.
+141, the status of a process killed by SIGPIPE; an interrupt (Ctrl-C)
+ends it quietly with 130, as SIGINT would.
 """
 
 from __future__ import annotations
@@ -236,6 +237,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the reader has gone; silence the flush at interpreter exit too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as for a process the signal killed
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT
     except weyl.RankLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

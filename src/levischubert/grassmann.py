@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import weyl
 from .weyl import Perm
@@ -61,55 +61,37 @@ class GrassmannSchubert:
         return {"n": self.n, "d": self.d, "w": list(self.w)}
 
 
-def runs(x: GrassmannSchubert) -> tuple[tuple[int, int], ...]:
-    """Maximal consecutive intervals of the column set, as ``(a, b)`` pairs
-    covering ``a, a+1, ..., a+b``.  Consecutive runs are separated by a gap
-    of at least two.
+def run_starts(x: GrassmannSchubert) -> tuple[int, ...]:
+    """First values of the maximal consecutive runs of the column set.
+    Consecutive runs are separated by a gap of at least two.
 
-    >>> runs(GrassmannSchubert(2, (2, 6, 1, 3, 4, 5)))
-    ((2, 0), (6, 0))
+    >>> run_starts(GrassmannSchubert(2, (2, 6, 1, 3, 4, 5)))
+    (2, 6)
     """
-    out: list[list[int]] = []
-    for c in x.columns:
-        if out and c == out[-1][0] + out[-1][1] + 1:
-            out[-1][1] += 1
-        else:
-            out.append([c, 0])
-    return tuple((a, b) for a, b in out)
+    cols = x.columns
+    return tuple(c for i, c in enumerate(cols) if i == 0 or cols[i - 1] != c - 1)
 
 
 def run_divisors(x: GrassmannSchubert) -> tuple[tuple[int, GrassmannSchubert], ...]:
     """Schubert divisors paired with the 1-based index of the run that
-    produced them.  The divisor for run ``(a, b)`` lowers that run's first
-    value ``a`` to ``a - 1``; runs starting at 1 produce nothing.
+    produced them.  The divisor for the run starting at ``a`` lowers ``a``
+    to ``a - 1``; a run starting at 1 produces nothing.
     """
     cols = set(x.columns)
     out = []
-    for idx, (a, _) in enumerate(runs(x), start=1):
+    for idx, a in enumerate(run_starts(x), start=1):
         if a > 1:
             out.append((idx, GrassmannSchubert.from_columns(
                 x.n, x.d, (cols - {a}) | {a - 1})))
     return tuple(out)
 
 
-def smooth_form(x: GrassmannSchubert) -> Optional[tuple[int, int]]:
-    """Detect the column pattern ``{1..p} | {m, ..., m + (d-p) - 1}`` with
-    ``m > p + 1`` that characterizes the smooth varieties; returns
-    ``(p, m)`` or None.
-
-    ``p`` may be zero (no initial segment).  When the columns are exactly
-    ``{1..d}`` the variety is a point; by convention ``(d, d + 2)`` is
-    returned, ``m`` being vacuous for an empty upper run.
-    """
-    rs = runs(x)
-    if len(rs) == 1:
-        a, _ = rs[0]
-        if a == 1:
-            return (x.d, x.d + 2)
-        return (0, a)
-    if len(rs) == 2 and rs[0][0] == 1:
-        return (rs[0][1] + 1, rs[1][0])
-    return None
+def is_smooth(x: GrassmannSchubert) -> bool:
+    """The column pattern ``{1..p} | {m, ..., m + (d-p) - 1}`` that
+    characterizes the smooth varieties: the columns form one run, or two
+    runs the first of which starts at 1."""
+    starts = run_starts(x)
+    return len(starts) == 1 or (len(starts) == 2 and starts[0] == 1)
 
 
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:

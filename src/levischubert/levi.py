@@ -25,32 +25,15 @@ from .grassmann import GrassmannSchubert
 from .weyl import Perm
 
 
-@dataclass(frozen=True)
-class LeviBlocks:
-    """The ordered set partition of ``{1..n}`` attached to a Levi.
+def blocks(I: Iterable[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """The ordered set partition of ``{1..n}`` attached to a Levi: cut
+    after each simple root missing from ``I``, so there are
+    ``|complement| + 1`` blocks, the last ending at ``n``.
 
-    Each block ends at an element of the complement of ``indices`` (the
-    last block ends at ``n``), so there are ``|complement| + 1`` blocks.
-    """
-
-    indices: frozenset[int]
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {"indices": sorted(self.indices),
-                "blocks": [list(b) for b in self.blocks]}
-
-
-def blocks(I: Iterable[int], n: int) -> LeviBlocks:
-    """Cut ``{1..n}`` after each simple root missing from ``I``.
-
-    >>> blocks({1, 3, 4, 7}, 8).blocks
+    >>> blocks({1, 3, 4, 7}, 8)
     ((1, 2), (3, 4, 5), (6,), (7, 8))
     """
-    I = frozenset(I)
-    return LeviBlocks(I, n, tuple(tuple(range(lo, hi + 1))
-                                  for lo, hi in weyl.position_blocks(I, n)))
+    return tuple(tuple(range(lo, hi + 1)) for lo, hi in weyl.position_blocks(I, n))
 
 
 @lru_cache(maxsize=None)

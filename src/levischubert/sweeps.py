@@ -38,8 +38,8 @@ def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
 
 
 def head_oracle(max_n: int) -> Iterator[dict]:
-    """Block criterion vs the reflection test, over every Grassmann
-    permutation and every Levi."""
+    """Block criterion vs the closed form of :func:`levi.max_levi`, over
+    every Grassmann permutation and every Levi."""
     for x in _all_grassmann(max_n):
         stab = levi.max_levi(x.w, x.quotient)
         for I in _powerset(range(1, x.n)):
@@ -51,19 +51,20 @@ def head_oracle(max_n: int) -> Iterator[dict]:
 
 
 def divisor_stability(max_n: int) -> Iterator[dict]:
-    """Run-start criterion for divisor stability vs the reflection test,
-    over every stable pair."""
+    """The run-start lemma vs the closed form of :func:`levi.max_levi`,
+    over every stable pair: lowering the run start ``a`` keeps the
+    divisor ``I``-stable iff ``a - 1`` lies outside ``I``."""
     for x in _all_grassmann(max_n):
         rds = grassmann.run_divisors(x)
         if not rds:
             continue
         J = x.quotient
-        rs = grassmann.runs(x)
+        starts = grassmann.run_starts(x)
         stab_w = levi.max_levi(x.w, J)
         div_stab = {idx: levi.max_levi(div.w, J) for idx, div in rds}
         for I in _powerset(stab_w):
             for idx, div in rds:
-                claim = (rs[idx - 1][0] - 1) not in I
+                claim = (starts[idx - 1] - 1) not in I
                 yield {
                     "check": "divisor-stability", "n": x.n, "d": x.d,
                     "w": list(x.w), "levi": sorted(I),
@@ -76,7 +77,7 @@ def smooth_unique_head(max_n: int) -> Iterator[dict]:
     """Smooth column pattern forces a unique head and an empty boundary
     for the maximal Levi."""
     for x in _all_grassmann(max_n):
-        if grassmann.smooth_form(x) is not None:
+        if grassmann.is_smooth(x):
             yield {
                 "check": "smooth-unique-head", "n": x.n, "d": x.d,
                 "w": list(x.w), "ok": toroidal.unique_head_check(x),
@@ -87,7 +88,7 @@ def singular_no_stable_divisor(max_n: int) -> Iterator[dict]:
     """Singular varieties have no divisor stable under the maximal Levi,
     and every proper head sits in codimension >= 2."""
     for x in _all_grassmann(max_n):
-        if grassmann.smooth_form(x) is None:
+        if not grassmann.is_smooth(x):
             yield {
                 "check": "singular-no-stable-divisor", "n": x.n, "d": x.d,
                 "w": list(x.w), "ok": toroidal.no_stable_divisor_check(x),
@@ -133,7 +134,7 @@ def smooth_palindromic(max_n: int) -> Iterator[dict]:
     """Smooth column pattern iff the rank generating function is
     palindromic (rational smoothness, which in type A is smoothness)."""
     for x in _all_grassmann(max_n):
-        smooth = grassmann.smooth_form(x) is not None
+        smooth = grassmann.is_smooth(x)
         pal = weyl.is_palindromic(weyl.poincare_polynomial(x.w, x.quotient))
         yield {
             "check": "smooth-palindromic", "n": x.n, "d": x.d,

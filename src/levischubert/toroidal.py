@@ -29,12 +29,14 @@ FAILS = "fails"
 class DivisorCheck:
     """One Schubert divisor of the subject, with its toroidality status.
 
-    ``stable`` records whether the divisor itself stays Levi-stable, which
-    happens exactly when decrementing the run start lands on a block end
-    (``a - 1`` outside ``I``).  ``criterion`` is ``criterion-1`` for stable
-    divisors, ``criterion-2`` for unstable divisors containing no head, and
-    ``violated`` otherwise; a violation's ``witness`` is a head inside the
-    divisor (the minimal one).
+    ``stable`` records whether the divisor itself stays Levi-stable
+    (:func:`levi.is_stable`).  The lemma the ``divisor-stability`` sweep
+    checks, the run-start rule, says it is exactly when lowering the run
+    start ``a`` lands on a block end (``a - 1`` outside ``I``).
+    ``criterion`` is ``criterion-1`` for stable divisors, ``criterion-2``
+    for unstable divisors containing no head, and ``violated`` otherwise;
+    a violation's ``witness`` is a head inside the divisor (the minimal
+    one).
     """
 
     divisor: GrassmannSchubert
@@ -56,14 +58,15 @@ class DivisorCheck:
 @dataclass(frozen=True)
 class ToroidalReport:
     subject: GrassmannSchubert
-    levi: levi.LeviBlocks
+    levi: frozenset[int]
     divisors: tuple[DivisorCheck, ...]
     verdict: str
 
     def to_json(self) -> dict:
         return {
             "subject": self.subject.to_json(),
-            "levi": self.levi.to_json(),
+            "levi": {"indices": sorted(self.levi), "blocks": [
+                list(b) for b in levi.blocks(self.levi, self.subject.n)]},
             "divisors": [c.to_json() for c in self.divisors],
             "verdict": self.verdict,
         }
@@ -72,15 +75,10 @@ class ToroidalReport:
 def divisor_stability(x: GrassmannSchubert, I: Iterable[int],
                       ) -> tuple[tuple[int, GrassmannSchubert, bool], ...]:
     """For each Schubert divisor of a Levi-stable ``x``: its run index,
-    the divisor, and whether the divisor remains Levi-stable.
-
-    Stability holds iff ``a - 1`` lies outside ``I`` for the run ``(a, b)``
-    that was decremented.
-    """
+    the divisor, and whether the divisor remains Levi-stable."""
     I = frozenset(I)
     levi.require_stable(x.w, x.quotient, I)
-    rs = grassmann.runs(x)
-    return tuple((idx, div, (rs[idx - 1][0] - 1) not in I)
+    return tuple((idx, div, levi.is_stable(div.w, x.quotient, I))
                  for idx, div in grassmann.run_divisors(x))
 
 
@@ -102,7 +100,7 @@ def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport
             criterion, witness = CRITERION_NO_HEAD, None
         checks.append(DivisorCheck(div, idx, stable, criterion, witness))
     verdict = FAILS if any(c.criterion == VIOLATED for c in checks) else PASSES
-    return ToroidalReport(x, levi.blocks(I, x.n), tuple(checks), verdict)
+    return ToroidalReport(x, I, tuple(checks), verdict)
 
 
 def unique_head_check(x: GrassmannSchubert) -> bool:
@@ -114,7 +112,7 @@ def unique_head_check(x: GrassmannSchubert) -> bool:
     so the head is unique exactly when ``x.w`` is the minimal head.  No
     step enumerates, so any rank is accepted.
     """
-    if grassmann.smooth_form(x) is None:
+    if not grassmann.is_smooth(x):
         raise ValueError(f"{x.w} does not have the smooth column pattern")
     I = levi.max_levi(x.w, x.quotient)
     return levi.minimal_head(x.quotient, I, x.n) == x.w
@@ -129,7 +127,7 @@ def no_stable_divisor_check(x: GrassmannSchubert) -> bool:
     head of codimension one is a Schubert divisor that is Levi-stable.  No
     step enumerates, so any rank is accepted.
     """
-    if grassmann.smooth_form(x) is not None:
+    if grassmann.is_smooth(x):
         raise ValueError(f"{x.w} has the smooth column pattern; "
                          "the check applies to singular varieties")
     I = levi.max_levi(x.w, x.quotient)

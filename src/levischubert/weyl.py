@@ -179,8 +179,11 @@ def in_quotient(w: Perm, J: Iterable[int]) -> bool:
 
 
 def require_quotient(w: Perm, J: Iterable[int]) -> None:
+    """Refuse ``w`` unless it lies in ``W^J``, for a set ``J`` in ``1..n-1``."""
     if not is_permutation(w):
         raise ValueError(f"{w} is not a permutation")
+    if J and (min(J) < 1 or max(J) >= len(w)):
+        raise ValueError(f"parabolic indices must lie in 1..{len(w) - 1}")
     if not in_quotient(w, J):
         raise ValueError(
             f"{w} has a right descent in J={sorted(frozenset(J))}; "

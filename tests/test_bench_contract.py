@@ -3,7 +3,8 @@ caches by their private names (``weyl._quotient_reps``, ``levi._max_levi``,
 ...) to report hit ratios, and ``bench/run.py`` lists the traced functions
 whose calls and self time it reports.  Renaming or deleting one must fail
 here and not only in the slower benchmark suite, or its metric silently
-reads 0."""
+reads 0.  The bench's query oracles come from ``tests/oracles.py`` by name
+too, so renaming one of those must fail here as well."""
 
 import ast
 import importlib.util
@@ -11,6 +12,7 @@ import inspect
 import pathlib
 import sys
 
+import oracles
 from levischubert import levi, weyl
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -73,3 +75,24 @@ def test_every_traced_function_exists_but_the_stale_ones():
         if not inspect.isfunction(getattr(package_module, fn, None)):
             gone.add(name)
     assert gone == STALE
+
+
+def oracle_names():
+    """Every ``oracles.<name>`` attribute read in ``bench/*.py``."""
+    out = set()
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        out.update(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "oracles")
+    return out
+
+
+def test_bench_reads_some_oracle():
+    # the scan must still see the bench's reads, or the next test is vacuous
+    assert oracle_names()
+
+
+def test_every_oracle_the_bench_reads_exists():
+    for name in sorted(oracle_names()):
+        assert inspect.isfunction(getattr(oracles, name, None)), f"oracles.{name}"

@@ -197,7 +197,7 @@ MUTANTS = {
     # v then has no divisors, so every non-onto image is neither
     "projection-dichotomy": (
         weyl, "lower_covers", lambda f: lambda w, J=(): frozenset() if J else f(w, J), 4),
-    "smooth-palindromic": (grassmann, "smooth_form", lambda f: lambda x: None, 4),
+    "smooth-palindromic": (grassmann, "is_smooth", lambda f: lambda x: False, 4),
     "classify-codim": (classify, "case_dimensions", lambda f: lambda case: (1, 1, 1), 3),
 }
 
@@ -265,6 +265,18 @@ class TestSweep:
         assert first["check"] == "head-oracle"
         assert err == b""
         assert proc.returncode == 141
+
+    def test_interrupt_ends_quietly(self, capsys, monkeypatch):
+        def interrupted(bound):
+            yield {"check": "interrupted", "ok": True}
+            raise KeyboardInterrupt
+        monkeypatch.setitem(sweeps.SWEEPS, "interrupted", (interrupted, 6, False))
+        try:
+            code, _, err = run_cli(capsys, "sweep", "--check", "interrupted")
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert code == 130
+        assert err == ""
 
     def test_unknown_check_rejected(self, capsys):
         assert cli.main(["sweep", "--check", "nonsense"]) == 2

@@ -35,22 +35,24 @@ class TestConstruction:
 
 class TestRuns:
     @pytest.mark.parametrize("d,w,expected", [
-        (2, (3, 4, 1, 2, 5), ((3, 1),)),
-        (2, (2, 6, 1, 3, 4, 5), ((2, 0), (6, 0))),
-        (3, (1, 2, 3, 4, 5), ((1, 2),)),
+        (2, (3, 4, 1, 2, 5), (3,)),
+        (2, (2, 6, 1, 3, 4, 5), (2, 6)),
+        (3, (1, 2, 3, 4, 5), (1,)),
     ])
     def test_frozen(self, d, w, expected):
-        assert grassmann.runs(GrassmannSchubert(d, w)) == expected
+        assert grassmann.run_starts(GrassmannSchubert(d, w)) == expected
 
     def test_runs_cover_columns_with_gaps(self):
+        # a run ends at the column just before the next run start
         for n in range(2, 8):
             for d in range(1, n):
                 for x in grassmann.all_grassmann(n, d):
-                    rs = grassmann.runs(x)
-                    rebuilt = [c for a, b in rs for c in range(a, a + b + 1)]
+                    starts = grassmann.run_starts(x)
+                    ends = [x.columns[x.columns.index(b) - 1] for b in starts[1:]]
+                    ends.append(x.columns[-1])
+                    rebuilt = [c for a, e in zip(starts, ends) for c in range(a, e + 1)]
                     assert tuple(rebuilt) == x.columns
-                    assert all(a + b + 1 < a2
-                               for (a, b), (a2, _) in zip(rs, rs[1:]))
+                    assert all(e + 1 < a2 for e, a2 in zip(ends, starts[1:]))
 
 
 class TestDimension:
@@ -118,11 +120,15 @@ class TestSmoothForm:
         (2, (2, 6, 1, 3, 4, 5), None),
     ])
     def test_frozen(self, d, w, expected):
-        assert grassmann.smooth_form(GrassmannSchubert(d, w)) == expected
+        # expected is the (p, m) of the pattern {1..p} | {m, ..., m + d - p - 1}
+        x = GrassmannSchubert(d, w)
+        assert grassmann.is_smooth(x) == (expected is not None)
+        if expected is not None:
+            p, m = expected
+            assert x.columns == tuple(range(1, p + 1)) + tuple(range(m, m + d - p))
 
     def test_identity_counts_as_smooth(self):
-        p, _ = grassmann.smooth_form(GrassmannSchubert(2, (1, 2, 3, 4)))
-        assert p == 2
+        assert grassmann.is_smooth(GrassmannSchubert(2, (1, 2, 3, 4)))
 
     def test_iff_palindromic(self):
         # rational smoothness via the rank generating function; small ranks
@@ -130,7 +136,7 @@ class TestSmoothForm:
         for n in range(2, 7):
             for d in range(1, n):
                 for x in grassmann.all_grassmann(n, d):
-                    smooth = grassmann.smooth_form(x) is not None
+                    smooth = grassmann.is_smooth(x)
                     pal = weyl.is_palindromic(
                         weyl.poincare_polynomial(x.w, x.quotient))
                     assert smooth == pal, x

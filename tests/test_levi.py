@@ -16,19 +16,19 @@ def subsets(n):
 class TestBlocks:
     def test_worked_example(self):
         got = levi.blocks({1, 3, 4, 7}, 8)
-        assert got.blocks == ((1, 2), (3, 4, 5), (6,), (7, 8))
-        assert len(got.blocks) == len(set(range(1, 8)) - {1, 3, 4, 7}) + 1
+        assert got == ((1, 2), (3, 4, 5), (6,), (7, 8))
+        assert len(got) == len(set(range(1, 8)) - {1, 3, 4, 7}) + 1
 
     def test_torus_and_full(self):
-        assert levi.blocks((), 3).blocks == ((1,), (2,), (3,))
-        assert levi.blocks({1, 2}, 3).blocks == ((1, 2, 3),)
+        assert levi.blocks((), 3) == ((1,), (2,), (3,))
+        assert levi.blocks({1, 2}, 3) == ((1, 2, 3),)
 
     def test_block_ends(self):
         for n in range(2, 8):
             for I in subsets(n):
                 got = levi.blocks(I, n)
                 comp = sorted(set(range(1, n)) - I)
-                assert [b[-1] for b in got.blocks] == comp + [n]
+                assert [b[-1] for b in got] == comp + [n]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -199,6 +199,19 @@ class TestHeadsBelow:
         for query in (levi.heads_below, levi.contains_levi_orbit):
             with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
                 query((3, 1, 2), (), {5})
+
+
+class TestParabolicRange:
+    @pytest.mark.parametrize("call", [
+        lambda: levi.max_levi((2, 1, 3), {5}),
+        lambda: levi.is_stable((1, 2, 3), {9}, ()),
+        lambda: weyl.lower_covers((3, 1, 2), {9}),
+        lambda: weyl.require_quotient((1, 2, 3), {0}),
+    ], ids=["max_levi", "is_stable", "lower_covers", "require_quotient"])
+    def test_parabolic_index_out_of_range(self, call):
+        # the parabolic J is refused with the message heads_below gives
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
+            call()
 
 
 def report(tau, J, I):

@@ -52,15 +52,15 @@ class TestDivisorStability:
             toroidal.divisor_stability(x, {2})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_reflection_test(self, n):
-        # the run-start criterion against per-divisor stability
+    def test_matches_run_start_rule(self, n):
+        # lowering the run start a keeps the divisor I-stable iff a - 1 is
+        # outside I, with a read off the columns, not off the package's runs
         for d in range(1, n):
-            J = frozenset(range(1, n)) - {d}
             for x in grassmann.all_grassmann(n, d):
-                stab = levi.max_levi(x.w, J)
-                for I in subsets(stab):
+                for I in subsets(levi.max_levi(x.w, x.quotient)):
                     for _, div, stable in toroidal.divisor_stability(x, I):
-                        assert stable == levi.is_stable(div.w, J, I)
+                        (a,) = set(x.columns) - set(div.columns)
+                        assert stable == ((a - 1) not in I), (x, I, div)
 
 
 class TestNecessaryConditions:
@@ -154,7 +154,7 @@ def head_criteria(x, I):
                             for h in heads if h != x.w), (x, I)
     # with the maximal Levi, each check is the criterion on its own domain
     if I == levi.max_levi(x.w, x.quotient):
-        if grassmann.smooth_form(x) is None:
+        if not grassmann.is_smooth(x):
             assert toroidal.no_stable_divisor_check(x) == no_stable, x
         else:
             assert toroidal.unique_head_check(x) == unique, x
@@ -216,5 +216,5 @@ class TestSingularNoStableDivisor:
     def test_holds_for_every_singular_variety(self, n):
         for d in range(1, n):
             for x in grassmann.all_grassmann(n, d):
-                if grassmann.smooth_form(x) is None:
+                if not grassmann.is_smooth(x):
                     assert toroidal.no_stable_divisor_check(x), x
