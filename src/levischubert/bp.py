@@ -14,7 +14,8 @@ defining identity enumerates, so only the ``bp`` report and the
 
 :func:`project_divisors` sorts every Schubert divisor of ``w`` into one of
 three kinds, for any decomposition; the projection sweep checks that a
-factoring one never yields :data:`NEITHER`.
+factoring one never yields :data:`NEITHER`.  :func:`nontoroidal_transport`
+runs :func:`toroidal.divisor_checks` on each image ``v`` in a maximal ``W^K``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import grassmann, levi, toroidal, weyl
+from . import levi, toroidal, weyl
 from .weyl import Perm
 
 ONTO = "onto-image"
@@ -39,10 +40,6 @@ class BPDecomposition:
     K: frozenset[int]
     v: Perm
     u: Perm
-
-    @property
-    def is_bp(self) -> bool:
-        return is_bp_support(self)
 
     def to_json(self) -> dict:
         support = is_bp_support(self)
@@ -133,7 +130,7 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
 
 
 # ---------------------------------------------------------------------------
-# transport of the Grassmannian necessary conditions
+# transport of the toroidal necessary conditions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -178,11 +175,11 @@ class TransportReport:
 
 def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
                           ) -> TransportReport:
-    """Push the Grassmannian divisor conditions through every projection to
-    a maximal parabolic containing ``J``.
+    """Push the divisor conditions of :func:`toroidal.divisor_checks`
+    through every projection to a maximal parabolic ``K`` containing ``J``.
 
-    The image ``v`` of a Levi-stable variety is Levi-stable, so the
-    Grassmannian checker applies to it.  When the decomposition at some
+    The image ``v`` of a Levi-stable variety is Levi-stable, so the check
+    applies to ``v`` in ``W^K``.  When the decomposition at some
     maximal ``K`` factors and the check on ``v`` fails, the variety of
     ``w`` cannot be a smooth toroidal variety for this Levi action: the
     projection would carry a divisor violating toroidality.  Steps where
@@ -196,10 +193,10 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
         if d in J:
             continue
         dec = decompose(w, J, frozenset(range(1, n)) - {d})
-        report = toroidal.toroidal_necessary(grassmann.GrassmannSchubert(d, dec.v), I)
-        witness = next((c.witness for c in report.divisors
+        checks = toroidal.divisor_checks(dec.v, dec.K, I)
+        witness = next((c.witness for c in checks
                         if c.criterion == toroidal.VIOLATED), None)
         steps.append(TransportStep(d, dec.v, dec.u, is_bp_support(dec),
-                                   report.verdict, witness))
+                                   toroidal.verdict(checks), witness))
     certified = any(s.is_bp and s.verdict == toroidal.FAILS for s in steps)
     return TransportReport(tuple(w), J, I, tuple(steps), certified)

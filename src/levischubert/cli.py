@@ -121,9 +121,8 @@ def _parse_instance(args) -> tuple[int, weyl.Perm, frozenset[int], frozenset[int
         J = _omitting(args.d, n)
     else:
         J = weyl.parse_parabolic(args.parabolic, n)
-    I = weyl.parse_parabolic(args.levi, n)
-    weyl.require_quotient(w, J)
-    return n, w, J, I
+    # each command's first library call validates w in W^J
+    return n, w, J, weyl.parse_parabolic(args.levi, n)
 
 
 def _cmd_analyze(args) -> int:
@@ -157,8 +156,7 @@ def _cmd_heads(args) -> int:
 def _cmd_toroidal(args) -> int:
     _, w, _, I = _parse_instance(args)
     x = grassmann.GrassmannSchubert(args.d, w)
-    report = toroidal.toroidal_necessary(x, I)
-    _emit(report.to_json(), args.format)
+    _emit(toroidal.toroidal_necessary(x, I).to_json(), args.format)
     return 0
 
 

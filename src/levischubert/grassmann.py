@@ -29,10 +29,7 @@ class GrassmannSchubert:
         n = len(self.w)
         if not 1 <= self.d < n:
             raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {n}")
-        if not weyl.is_permutation(self.w):
-            raise ValueError(f"{self.w} is not a permutation")
-        if not weyl.in_quotient(self.w, self.quotient):
-            raise ValueError(f"{self.w} is not Grassmann at d={self.d}")
+        weyl.require_quotient(self.w, self.quotient)
 
     @property
     def n(self) -> int:

@@ -68,6 +68,7 @@ def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
     The identity is ``I``-stable iff ``I`` is contained in ``J``: its
     variety is the base point, fixed only by the parabolic of ``J``.
     """
+    weyl.require_indices(I, len(theta))
     return frozenset(I) <= max_levi(theta, J)
 
 
@@ -133,8 +134,9 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     J, I = frozenset(J), frozenset(I)
     weyl.require_quotient(tau, J)
     mh = minimal_head(J, I, len(tau))  # refuses I outside 1..n-1 up front
+    # quotient_reps lists valid elements of W^J: skip max_levi's validation
     found = [t for t in weyl.quotient_reps(len(tau), J)
-             if weyl.bruhat_leq(t, tau) and I <= max_levi(t, J)]
+             if weyl.bruhat_leq(t, tau) and I <= _max_levi(t, J)]
     found.sort(key=lambda t: (weyl.length(t), t))
     if not found:
         return HeadReport((), None, ())

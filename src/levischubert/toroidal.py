@@ -1,5 +1,7 @@
-"""Necessary conditions for a Grassmannian Schubert variety to be toroidal
-under a block Levi action.
+"""Necessary conditions for a Schubert variety to be toroidal under a
+block Levi action, in any parabolic quotient (:func:`divisor_checks`).  The
+Grassmannian report :func:`toroidal_necessary` is its maximal-parabolic
+case, with each divisor labelled by its run.
 
 The verdicts are deliberately one-sided.  A ``fails`` report certifies
 non-toroidality: some Schubert divisor is not Levi-stable yet contains a
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import grassmann, levi
+from . import grassmann, levi, weyl
 from .grassmann import GrassmannSchubert
 from .weyl import Perm
 
@@ -27,32 +29,13 @@ FAILS = "fails"
 
 @dataclass(frozen=True)
 class DivisorCheck:
-    """One Schubert divisor of the subject, with its toroidality status.
+    """One Schubert divisor, whether it is Levi-stable, its criterion, and
+    for a violation the minimal head inside it (``witness``)."""
 
-    ``stable`` records whether the divisor itself stays Levi-stable
-    (:func:`levi.is_stable`).  The lemma the ``divisor-stability`` sweep
-    checks, the run-start rule, says it is exactly when lowering the run
-    start ``a`` lands on a block end (``a - 1`` outside ``I``).
-    ``criterion`` is ``criterion-1`` for stable divisors, ``criterion-2``
-    for unstable divisors containing no head, and ``violated`` otherwise;
-    a violation's ``witness`` is a head inside the divisor (the minimal
-    one).
-    """
-
-    divisor: GrassmannSchubert
-    run: int
+    divisor: Perm
     stable: bool
     criterion: str
     witness: Optional[Perm]
-
-    def to_json(self) -> dict:
-        return {
-            "w": list(self.divisor.w),
-            "run": self.run,
-            "stable": self.stable,
-            "criterion": self.criterion,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -63,44 +46,57 @@ class ToroidalReport:
     verdict: str
 
     def to_json(self) -> dict:
+        runs = {div.w: idx for idx, div in grassmann.run_divisors(self.subject)}
         return {
             "subject": self.subject.to_json(),
             "levi": {"indices": sorted(self.levi), "blocks": [
                 list(b) for b in levi.blocks(self.levi, self.subject.n)]},
-            "divisors": [c.to_json() for c in self.divisors],
+            "divisors": [{"w": list(c.divisor), "run": runs[c.divisor],
+                          "stable": c.stable, "criterion": c.criterion,
+                          "witness": list(c.witness) if c.witness else None}
+                         for c in self.divisors],
             "verdict": self.verdict,
         }
 
 
-def divisor_stability(x: GrassmannSchubert, I: Iterable[int],
-                      ) -> tuple[tuple[int, GrassmannSchubert, bool], ...]:
-    """For each Schubert divisor of a Levi-stable ``x``: its run index,
-    the divisor, and whether the divisor remains Levi-stable."""
-    I = frozenset(I)
-    levi.require_stable(x.w, x.quotient, I)
-    return tuple((idx, div, levi.is_stable(div.w, x.quotient, I))
-                 for idx, div in grassmann.run_divisors(x))
+def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
+                   ) -> tuple[DivisorCheck, ...]:
+    """Check every Schubert divisor of an ``I``-stable ``w`` in ``W^J``, in
+    lexicographic order.  A toroidal variety has no Borel-stable divisor
+    that is not Levi-stable yet contains a Levi orbit, and Schubert
+    divisors are Borel-stable.  So a divisor must be stable itself
+    (``criterion-1``) or contain no head (``criterion-2``); one that is
+    neither is ``violated`` and certifies that ``w`` is not toroidal for
+    this Levi action.  No step enumerates, so any rank is accepted.
+
+    >>> [c.criterion for c in divisor_checks((3, 4, 1, 2), (), {2})]
+    ['criterion-1', 'violated', 'criterion-1', 'criterion-1']
+    """
+    J, I = frozenset(J), frozenset(I)
+    levi.require_stable(w, J, I)
+    checks = []
+    for tau in sorted(weyl.lower_covers(w, J)):
+        stable = levi.is_stable(tau, J, I)
+        if stable:
+            criterion, witness = CRITERION_STABLE, None
+        elif levi.contains_levi_orbit(tau, J, I):
+            criterion, witness = VIOLATED, levi.minimal_head(J, I, len(w))
+        else:
+            criterion, witness = CRITERION_NO_HEAD, None
+        checks.append(DivisorCheck(tau, stable, criterion, witness))
+    return tuple(checks)
+
+
+def verdict(checks: Iterable[DivisorCheck]) -> str:
+    """``fails`` when some divisor check is violated, else ``passes-necessary``."""
+    return FAILS if any(c.criterion == VIOLATED for c in checks) else PASSES
 
 
 def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport:
-    """Check every Schubert divisor of a Levi-stable ``x`` against the two
-    admissible situations: the divisor is itself stable, or it contains no
-    head at all.  Any divisor admitting neither certifies that ``x`` is not
-    toroidal for this Levi action; otherwise only the necessary conditions
-    are reported as passing.  No step enumerates, so any rank is accepted.
-    """
+    """:func:`divisor_checks` on a Grassmannian ``x``, with its verdict."""
     I = frozenset(I)
-    checks = []
-    for idx, div, stable in divisor_stability(x, I):
-        if stable:
-            criterion, witness = CRITERION_STABLE, None
-        elif levi.contains_levi_orbit(div.w, x.quotient, I):
-            criterion, witness = VIOLATED, levi.minimal_head(x.quotient, I, x.n)
-        else:
-            criterion, witness = CRITERION_NO_HEAD, None
-        checks.append(DivisorCheck(div, idx, stable, criterion, witness))
-    verdict = FAILS if any(c.criterion == VIOLATED for c in checks) else PASSES
-    return ToroidalReport(x, I, tuple(checks), verdict)
+    checks = divisor_checks(x.w, x.quotient, I)
+    return ToroidalReport(x, I, checks, verdict(checks))
 
 
 def unique_head_check(x: GrassmannSchubert) -> bool:
@@ -131,4 +127,4 @@ def no_stable_divisor_check(x: GrassmannSchubert) -> bool:
         raise ValueError(f"{x.w} has the smooth column pattern; "
                          "the check applies to singular varieties")
     I = levi.max_levi(x.w, x.quotient)
-    return not any(stable for _, _, stable in divisor_stability(x, I))
+    return not any(c.stable for c in divisor_checks(x.w, x.quotient, I))

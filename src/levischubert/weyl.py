@@ -152,6 +152,12 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
 # parabolic subsets
 # ---------------------------------------------------------------------------
 
+def require_indices(J: Iterable[int], n: int) -> None:
+    """Refuse a parabolic or Levi subset ``J`` unless it lies in ``1..n-1``."""
+    if J and (min(J) < 1 or max(J) >= n):
+        raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
+
+
 def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
     """Maximal position intervals ``[lo, hi]`` tied together by ``J``.
 
@@ -161,8 +167,7 @@ def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
     ((1, 2), (3, 5), (6, 6))
     """
     J = frozenset(J)
-    if J and not J <= set(range(1, n)):
-        raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
+    require_indices(J, n)
     blocks = []
     lo = 1
     for i in range(1, n):
@@ -182,8 +187,7 @@ def require_quotient(w: Perm, J: Iterable[int]) -> None:
     """Refuse ``w`` unless it lies in ``W^J``, for a set ``J`` in ``1..n-1``."""
     if not is_permutation(w):
         raise ValueError(f"{w} is not a permutation")
-    if J and (min(J) < 1 or max(J) >= len(w)):
-        raise ValueError(f"parabolic indices must lie in 1..{len(w) - 1}")
+    require_indices(J, len(w))
     if not in_quotient(w, J):
         raise ValueError(
             f"{w} has a right descent in J={sorted(frozenset(J))}; "

@@ -111,7 +111,6 @@ class TestCharacterizations:
     def test_decompose_bundle(self):
         got = bp.decompose((3, 2, 1), (), {1})
         assert (got.v, got.u) == ((2, 3, 1), (2, 1, 3))
-        assert got.is_bp
         assert bp.is_bp_maximality(got) and bp.is_bp_support(got)
         assert bp.poincare_factorizes(got)
         data = got.to_json()

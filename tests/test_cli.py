@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -191,8 +192,8 @@ MUTANTS = {
     "smooth-unique-head": (
         levi, "minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
     "singular-no-stable-divisor": (
-        toroidal, "divisor_stability",
-        lambda f: lambda x, I: tuple((idx, div, True) for idx, div, _ in f(x, I)), 4),
+        toroidal, "divisor_checks", lambda f: lambda w, J, I: tuple(
+            dataclasses.replace(c, stable=True) for c in f(w, J, I)), 4),
     "bp-equivalence": (bp, "is_bp_support", lambda f: lambda d: True, 3),
     # v then has no divisors, so every non-onto image is neither
     "projection-dichotomy": (

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import grassmann, levi, weyl
+from levischubert import bp, grassmann, levi, weyl
 from levischubert.grassmann import GrassmannSchubert
 
 
@@ -194,6 +194,16 @@ class TestHeadsBelow:
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
+    def test_validates_once(self, monkeypatch):
+        # tau is validated on entry; the elements quotient_reps generates
+        # are valid already and are not validated again
+        calls = []
+        fn = weyl.require_quotient
+        monkeypatch.setattr(weyl, "require_quotient",
+                            lambda w, J: calls.append(1) or fn(w, J))
+        levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {2})
+        assert len(calls) == 1
+
     def test_levi_index_out_of_range(self):
         # refused like contains_levi_orbit, not answered with no heads
         for query in (levi.heads_below, levi.contains_levi_orbit):
@@ -207,9 +217,14 @@ class TestParabolicRange:
         lambda: levi.is_stable((1, 2, 3), {9}, ()),
         lambda: weyl.lower_covers((3, 1, 2), {9}),
         lambda: weyl.require_quotient((1, 2, 3), {0}),
-    ], ids=["max_levi", "is_stable", "lower_covers", "require_quotient"])
+        lambda: levi.is_stable((1, 2, 3), (), {9}),
+        lambda: levi.require_stable((3, 2, 1), (), {5}),
+        lambda: bp.nontoroidal_transport((3, 2, 1), (), {5}),
+    ], ids=["max_levi", "is_stable", "lower_covers", "require_quotient",
+            "is_stable_levi", "require_stable", "nontoroidal_transport"])
     def test_parabolic_index_out_of_range(self, call):
-        # the parabolic J is refused with the message heads_below gives
+        # the parabolic J or the Levi I is refused with the message
+        # heads_below gives, never answered as unstable
         with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
             call()
 

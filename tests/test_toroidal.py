@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from levischubert import grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
 
@@ -27,29 +29,31 @@ def stable_at_ranks_7_8(draw):
 
 
 class TestDivisorStability:
+    """The ``stable`` flags of :func:`toroidal.divisor_checks` on
+    Grassmannian inputs."""
+
     def test_both_divisors_unstable(self):
         x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
-        got = toroidal.divisor_stability(x, {1, 3, 4, 5})
-        assert [(run, div.columns, stable) for run, div, stable in got] == [
-            (1, (1, 6), False), (2, (2, 5), False)]
+        got = toroidal.divisor_checks(x.w, x.quotient, {1, 3, 4, 5})
+        assert [(c.divisor[:2], c.stable) for c in got] == [
+            ((1, 6), False), ((2, 5), False)]
 
     def test_single_unstable_divisor(self):
         x = GrassmannSchubert(2, (1, 4, 2, 3))
-        got = toroidal.divisor_stability(x, {2, 3})
-        assert [(run, div.columns, stable) for run, div, stable in got] == [
-            (2, (1, 3), False)]
+        got = toroidal.divisor_checks(x.w, x.quotient, {2, 3})
+        assert [(c.divisor[:2], c.stable) for c in got] == [((1, 3), False)]
 
     def test_stable_divisor_when_run_lowers_onto_block_end(self):
         # run starting at 2 with 1 outside the Levi: the divisor stays stable
         x = GrassmannSchubert(2, (2, 4, 1, 3))
-        got = toroidal.divisor_stability(x, {3})
-        assert [(run, div.columns, stable) for run, div, stable in got] == [
-            (1, (1, 4), True), (2, (2, 3), False)]
+        got = toroidal.divisor_checks(x.w, x.quotient, {3})
+        assert [(c.divisor[:2], c.stable) for c in got] == [
+            ((1, 4), True), ((2, 3), False)]
 
     def test_requires_stability(self):
         x = GrassmannSchubert(2, (2, 4, 1, 3))
         with pytest.raises(ValueError):
-            toroidal.divisor_stability(x, {2})
+            toroidal.divisor_checks(x.w, x.quotient, {2})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_run_start_rule(self, n):
@@ -58,9 +62,56 @@ class TestDivisorStability:
         for d in range(1, n):
             for x in grassmann.all_grassmann(n, d):
                 for I in subsets(levi.max_levi(x.w, x.quotient)):
-                    for _, div, stable in toroidal.divisor_stability(x, I):
-                        (a,) = set(x.columns) - set(div.columns)
-                        assert stable == ((a - 1) not in I), (x, I, div)
+                    for check in toroidal.divisor_checks(x.w, x.quotient, I):
+                        (a,) = set(x.columns) - set(check.divisor[:d])
+                        assert check.stable == ((a - 1) not in I), (x, I, check)
+
+
+stabilizer = functools.lru_cache(maxsize=None)(oracles.max_levi_by_length)
+
+
+def brute_force_checks(w, J, I):
+    """(divisor, stable, criterion, witness) for each Schubert divisor of
+    ``w``, in lexicographic order, from the oracles alone: covers by
+    length, stability by coset lengths, heads by the interval scan."""
+    out = []
+    for tau in sorted(oracles.covers_by_length(w, J)):
+        if I <= stabilizer(tau, J):
+            out.append((tau, True, toroidal.CRITERION_STABLE, None))
+            continue
+        heads, least, _ = oracles.heads_scan(tau, J, I)
+        out.append((tau, False, toroidal.VIOLATED, least) if heads
+                   else (tau, False, toroidal.CRITERION_NO_HEAD, None))
+    return out
+
+
+def as_tuples(checks):
+    return [(c.divisor, c.stable, c.criterion, c.witness) for c in checks]
+
+
+class TestDivisorChecks:
+    """The general check at every parabolic, against brute force."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_brute_force(self, n):
+        for J in subsets(range(1, n)):
+            for w in oracles.quotient_perms(n, J):
+                for I in subsets(stabilizer(w, J)):
+                    assert as_tuples(toroidal.divisor_checks(w, J, I)) \
+                        == brute_force_checks(w, J, I), (w, J, I)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_matches_brute_force_at_ranks_6_7(self, data):
+        n = data.draw(st.integers(6, 7), label="n")
+        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        stab = sorted(stabilizer(w, J))
+        I = data.draw(st.frozensets(st.sampled_from(stab)) if stab
+                      else st.just(frozenset()), label="I")
+        assert as_tuples(toroidal.divisor_checks(w, J, I)) \
+            == brute_force_checks(w, J, I), (w, J, I)
 
 
 class TestNecessaryConditions:
@@ -91,9 +142,10 @@ class TestNecessaryConditions:
     def test_stable_divisors_meet_criterion_one(self):
         x = GrassmannSchubert(2, (2, 4, 1, 3))
         report = toroidal.toroidal_necessary(x, {3})
-        by_run = {c.run: c for c in report.divisors}
-        assert by_run[1].criterion == toroidal.CRITERION_STABLE
-        assert by_run[1].stable
+        # the first run's divisor, lowering 2 to 1
+        (check,) = [c for c in report.divisors if c.divisor == (1, 4, 2, 3)]
+        assert check.criterion == toroidal.CRITERION_STABLE
+        assert check.stable
 
     def test_requires_stability(self):
         x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
@@ -114,7 +166,7 @@ class TestNecessaryConditions:
                     report = toroidal.toroidal_necessary(x, stab)
                     for check in report.divisors:
                         if check.criterion == toroidal.VIOLATED:
-                            assert weyl.bruhat_leq(check.witness, check.divisor.w)
+                            assert weyl.bruhat_leq(check.witness, check.divisor)
                             assert levi.is_stable(check.witness, J, stab)
 
     @settings(max_examples=60)
@@ -125,7 +177,7 @@ class TestNecessaryConditions:
         x, I = pair
         for check in toroidal.toroidal_necessary(x, I).divisors:
             if not check.stable:
-                heads = levi.heads_below(check.divisor.w, x.quotient, I)
+                heads = levi.heads_below(check.divisor, x.quotient, I)
                 assert check.witness == heads.minimal_head
 
 
@@ -140,6 +192,24 @@ class TestReportJson:
         for item in data["divisors"]:
             assert set(item) == {"w", "run", "stable", "criterion", "witness"}
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_run_labels_match_run_divisors(self, n):
+        # the report labels each divisor with the run grassmann assigns it
+        for d in range(1, n):
+            for x in grassmann.all_grassmann(n, d):
+                stab = levi.max_levi(x.w, x.quotient)
+                data = toroidal.toroidal_necessary(x, stab).to_json()
+                assert [(tuple(item["w"]), item["run"]) for item in data["divisors"]] \
+                    == [(div.w, idx) for idx, div in grassmann.run_divisors(x)], x
+
+    def test_unlabelled_divisor_is_an_error(self, monkeypatch):
+        # a divisor with no run is refused, never printed with a wrong label
+        x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
+        report = toroidal.toroidal_necessary(x, {1, 3, 4, 5})
+        monkeypatch.setattr(grassmann, "run_divisors", lambda x: ())
+        with pytest.raises(KeyError):
+            report.to_json()
+
 
 def head_criteria(x, I):
     """The two polynomial criteria for ``x`` under the Levi of ``I``, each
@@ -147,7 +217,7 @@ def head_criteria(x, I):
     heads = levi.heads_below(x.w, x.quotient, I).heads
     unique = levi.minimal_head(x.quotient, I, x.n) == x.w
     assert unique == (heads == (x.w,)), (x, I)
-    no_stable = not any(stable for _, _, stable in toroidal.divisor_stability(x, I))
+    no_stable = not any(c.stable for c in toroidal.divisor_checks(x.w, x.quotient, I))
     # a proper head of codimension one is a Levi-stable Schubert divisor
     dim = weyl.length(x.w)
     assert no_stable == all(dim - weyl.length(h) >= 2
