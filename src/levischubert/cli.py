@@ -11,11 +11,15 @@ error (a bound that yields no instances included), 3 rank limit exceeded,
 self-check).  A reader that closes stdout early ends the run quietly with
 141, the status of a process killed by SIGPIPE; an interrupt (Ctrl-C)
 ends it quietly with 130, as SIGINT would.
+
+``main`` reuses one parser per process: it calls ``build_parser`` again only
+when the names in ``sweeps.SWEEPS`` (the choices of ``--check``) change.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,9 +28,12 @@ from typing import Optional, Sequence
 from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, integers only."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -220,8 +227,14 @@ def _cmd_classify(args) -> int:
     return 1 if violations else 0
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(checks: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``build_parser()`` while the sweep registry holds ``checks``."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser(tuple(sorted(sweeps.SWEEPS)))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -233,7 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except BrokenPipeError:
         # the reader has gone; silence the flush at interpreter exit too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141  # 128 + SIGPIPE, as for a process the signal killed
     except KeyboardInterrupt:
         return 130  # 128 + SIGINT

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from levischubert import bp, classify, cli, grassmann, levi, sweeps, toroidal, weyl
 
@@ -267,6 +269,19 @@ class TestSweep:
         assert err == b""
         assert proc.returncode == 141
 
+    def test_closed_pipe_closes_what_it_opens(self, monkeypatch):
+        # in-process: the run's own descriptors are all closed again after
+        # stdout is pointed at the null device
+        before = len(os.listdir("/proc/self/fd"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            code = cli.main(["sweep", "--check", "head-oracle", "--max-n", "4"])
+            monkeypatch.undo()
+        assert code == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_interrupt_ends_quietly(self, capsys, monkeypatch):
         def interrupted(bound):
             yield {"check": "interrupted", "ok": True}
@@ -291,6 +306,36 @@ class TestSweep:
                                "--format", "text")
         assert code == 1
         assert "1 disagreements" in out
+
+
+class TestSharedParser:
+    def test_built_once_per_registry(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "levischubert":
+                built.append(self)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        # a registry no earlier call has seen, so the first call builds
+        monkeypatch.setitem(sweeps.SWEEPS, "first", (sweeps.head_oracle, 6, True))
+        for argv in (
+            ["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"],
+            ["heads", "--n", "4", "--w", "3,4,1,2", "--levi", "2"],
+            ["toroidal", "--n", "4", "--d", "2", "--w", "1,4,2,3", "--levi", "2,3"],
+            ["bp", "--n", "3", "--w", "3,2,1", "--quotient", "1"],
+            ["sweep", "--check", "first", "--max-n", "3"],
+            ["classify", "--max-m", "5"],
+            ["analyze", "--n", "4"],
+        ):
+            cli.main(argv)
+        assert len(built) == 1
+        # a new sweep is a new --check choice, so the parser is built again
+        monkeypatch.setitem(sweeps.SWEEPS, "second", (sweeps.head_oracle, 6, True))
+        assert cli.main(["sweep", "--check", "second", "--max-n", "3"]) == 0
+        assert cli.main(["sweep", "--check", "first", "--max-n", "3"]) == 0
+        assert len(built) == 2
 
 
 class TestInternalError:
@@ -340,6 +385,15 @@ class TestJsonCanonical:
             assert code == 0
             for line in out.strip().splitlines():
                 assert cli.canonical_json(json.loads(line)) == line
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=20))
+    def test_same_bytes_as_dumps(self, obj):
+        assert cli.canonical_json(obj) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"))
 
     def test_reproducible(self, capsys):
         argv = ["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"]

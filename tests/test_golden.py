@@ -18,6 +18,7 @@ import io
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
@@ -47,6 +48,16 @@ ENTRIES = json.loads(CORPUS.read_text())
 def test_invocation_is_byte_identical(monkeypatch, entry):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert invoke(entry["argv"]) == entry
+
+
+def test_corpus_in_any_order(monkeypatch):
+    # one process, one shared parser: no call may see what an earlier one
+    # parsed, defaulted or rejected
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    shuffled = ENTRIES[:]
+    random.Random(12).shuffle(shuffled)
+    for entry in ENTRIES[::-1] + shuffled:
+        assert invoke(entry["argv"]) == entry
 
 
 if __name__ == "__main__":
