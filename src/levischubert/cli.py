@@ -14,6 +14,8 @@ ends it quietly with 130, as SIGINT would.
 
 ``main`` reuses one parser per process: it calls ``build_parser`` again only
 when the names in ``sweeps.SWEEPS`` (the choices of ``--check``) change.
+``canonical_json`` encodes through one C encoder built at import, and a
+sweep writes each of its JSON lines with a single ``write``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
@@ -30,10 +33,22 @@ from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# The C encoder that ``_ENCODER.encode`` would build on every call, built
+# once.  Its markers argument is None, so it keeps no circular-reference
+# table: a shared one would keep the ids a failed encode left in it and
+# refuse a later encode of the same objects as circular.
+_C_ENCODE = (None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",",
+    True, False, True))
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, integers only."""
-    return _ENCODER.encode(obj)
+if _C_ENCODE is None:  # an interpreter without the _json accelerator
+    def canonical_json(obj) -> str:
+        """Deterministic JSON: sorted keys, no whitespace, integers only."""
+        return _ENCODER.encode(obj)
+else:
+    def canonical_json(obj) -> str:
+        """Deterministic JSON: sorted keys, no whitespace, integers only."""
+        return "".join(_C_ENCODE(obj, 0))
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -182,7 +197,7 @@ def _cmd_bp(args) -> int:
 
 
 def _tally(records, bound: str, check: str, echo: bool) -> tuple[int, int]:
-    """Count a sweep's records and its violations, printing each record as
+    """Count a sweep's records and its violations, writing each record as
     a JSON line when ``echo``.  A sweep that yields no record is a usage
     error: ``bound`` names the flag and value that made it vacuous."""
     instances = 0
@@ -192,7 +207,7 @@ def _tally(records, bound: str, check: str, echo: bool) -> tuple[int, int]:
         if not record["ok"]:
             violations += 1
         if echo:
-            print(canonical_json(record))
+            sys.stdout.write(canonical_json(record) + "\n")
     if not instances:
         raise ValueError(f"{bound} yields no {check} instances")
     return instances, violations

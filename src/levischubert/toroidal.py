@@ -46,17 +46,28 @@ class ToroidalReport:
     verdict: str
 
     def to_json(self) -> dict:
-        runs = {div.w: idx for idx, div in grassmann.run_divisors(self.subject)}
+        # a run's divisor lowers the run's start, the one subject column
+        # that the divisor drops (as grassmann.run_divisors builds it)
+        starts = grassmann.run_starts(self.subject)
+        runs = {a: idx for idx, a in enumerate(starts, start=1)}
+        columns = set(self.subject.columns)
         return {
             "subject": self.subject.to_json(),
             "levi": {"indices": sorted(self.levi), "blocks": [
                 list(b) for b in levi.blocks(self.levi, self.subject.n)]},
-            "divisors": [{"w": list(c.divisor), "run": runs[c.divisor],
+            "divisors": [{"w": list(c.divisor),
+                          "run": runs[_dropped_column(columns, c.divisor)],
                           "stable": c.stable, "criterion": c.criterion,
                           "witness": list(c.witness) if c.witness else None}
                          for c in self.divisors],
             "verdict": self.verdict,
         }
+
+
+def _dropped_column(columns: set[int], divisor: Perm) -> int:
+    """The one value of ``columns`` missing from the divisor's columns."""
+    (a,) = columns.difference(divisor[:len(columns)])
+    return a
 
 
 def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
@@ -74,13 +85,16 @@ def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
     """
     J, I = frozenset(J), frozenset(I)
     levi.require_stable(w, J, I)
+    # the minimal head lies below every head, so a divisor contains a Levi
+    # orbit exactly when it lies above the minimal head
+    head = levi.minimal_head(J, I, len(w))
     checks = []
     for tau in sorted(weyl.lower_covers(w, J)):
         stable = levi.is_stable(tau, J, I)
         if stable:
             criterion, witness = CRITERION_STABLE, None
-        elif levi.contains_levi_orbit(tau, J, I):
-            criterion, witness = VIOLATED, levi.minimal_head(J, I, len(w))
+        elif weyl.bruhat_leq(head, tau):
+            criterion, witness = VIOLATED, head
         else:
             criterion, witness = CRITERION_NO_HEAD, None
         checks.append(DivisorCheck(tau, stable, criterion, witness))

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -236,6 +237,21 @@ class TestSweep:
         assert summary["instances"] == len(lines) - 1
         assert all(rec["ok"] for rec in lines[:-1])
 
+    def test_every_line_is_one_canonical_json_call(self, capsys, monkeypatch):
+        # the bench traces cli.canonical_json and expects one call per
+        # record plus one for the summary
+        calls = []
+        encode = cli.canonical_json
+        monkeypatch.setattr(cli, "canonical_json",
+                            lambda obj: calls.append(1) or encode(obj))
+        code, out, _ = run_cli(
+            capsys, "sweep", "--check", "smooth-palindromic", "--max-n", "5")
+        assert code == 0
+        summary = json_lines(out)[-1]
+        assert summary["instances"] > 0
+        assert len(calls) == summary["instances"] + 1
+        assert len(out.splitlines()) == summary["instances"] + 1
+
     def test_rank_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--check", "head-oracle", "--max-n", "9")
@@ -371,6 +387,21 @@ class TestClassifyCommand:
         assert data["sweep"]["violations"] == 0
 
 
+def cli_without_c_encoder():
+    """A second copy of ``cli``, imported as on an interpreter without the
+    ``_json`` accelerator."""
+    spec = importlib.util.spec_from_file_location(
+        "levischubert._cli_without_c_encoder", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        spec.loader.exec_module(module)
+    return module
+
+
+CLI_WITHOUT_C = cli_without_c_encoder()
+
+
 class TestJsonCanonical:
     def test_round_trip_byte_identity(self, capsys):
         for argv in (
@@ -392,8 +423,25 @@ class TestJsonCanonical:
         | st.dictionaries(st.text(max_size=4), inner, max_size=4),
         max_leaves=20))
     def test_same_bytes_as_dumps(self, obj):
-        assert cli.canonical_json(obj) == json.dumps(
-            obj, sort_keys=True, separators=(",", ":"))
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert cli.canonical_json(obj) == expected
+        # the fallback encoder, on the pure-Python path it would take
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            assert CLI_WITHOUT_C.canonical_json(obj) == expected
+
+    def test_encoder_choice(self):
+        assert cli._C_ENCODE is not None
+        assert CLI_WITHOUT_C._C_ENCODE is None
+
+    def test_no_state_left_by_a_failed_encode(self):
+        # a shared circular-reference table would keep the ids of "a" and
+        # its dict from the failed encode and refuse the second as circular
+        outer = {"a": {"x": 1}, "b": {1}}
+        with pytest.raises(TypeError):
+            cli.canonical_json(outer)
+        del outer["b"]
+        assert cli.canonical_json(outer) == '{"a":{"x":1}}'
 
     def test_reproducible(self, capsys):
         argv = ["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"]

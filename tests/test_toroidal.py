@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import grassmann, levi, toroidal, weyl
+from levischubert import bp, grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
 
 
@@ -113,6 +113,25 @@ class TestDivisorChecks:
         assert as_tuples(toroidal.divisor_checks(w, J, I)) \
             == brute_force_checks(w, J, I), (w, J, I)
 
+    def test_validates_once(self, monkeypatch):
+        # the minimal head is computed once per call, and an unstable
+        # divisor is compared with it without being validated again: each
+        # divisor is validated once (in is_stable), w twice (in
+        # require_stable and lower_covers)
+        calls = []
+        fn = weyl.require_quotient
+        monkeypatch.setattr(weyl, "require_quotient",
+                            lambda w, J: calls.append(1) or fn(w, J))
+        # one more for the GrassmannSchubert; two divisors
+        toroidal.toroidal_necessary(
+            GrassmannSchubert(2, (2, 6, 1, 3, 4, 5)), {1, 3, 4, 5})
+        assert len(calls) == 5
+        calls.clear()
+        # w once in its stability test; then for each of the five images v,
+        # w again in decompose and v and its divisors as above
+        bp.nontoroidal_transport((6, 2, 5, 4, 3, 1), (), {1, 3, 4, 5})
+        assert len(calls) == 24
+
 
 class TestNecessaryConditions:
     def test_certified_nontoroidal_instance(self):
@@ -206,7 +225,7 @@ class TestReportJson:
         # a divisor with no run is refused, never printed with a wrong label
         x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
         report = toroidal.toroidal_necessary(x, {1, 3, 4, 5})
-        monkeypatch.setattr(grassmann, "run_divisors", lambda x: ())
+        monkeypatch.setattr(grassmann, "run_starts", lambda x: ())
         with pytest.raises(KeyError):
             report.to_json()
 
