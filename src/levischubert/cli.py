@@ -15,7 +15,9 @@ ends it quietly with 130, as SIGINT would.
 ``main`` reuses one parser per process: it calls ``build_parser`` again only
 when the names in ``sweeps.SWEEPS`` (the choices of ``--check``) change.
 ``canonical_json`` encodes through one C encoder built at import, and a
-sweep writes each of its JSON lines with a single ``write``.
+sweep writes each of its JSON lines with a single ``write``.  The encoder
+is CPython's ``_json`` accelerator; there is no pure-Python fallback, so an
+interpreter without it fails to import this module.
 """
 
 from __future__ import annotations
@@ -25,30 +27,26 @@ import functools
 import json
 import os
 import sys
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from _json import make_encoder
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder that ``json.dumps(obj, sort_keys=True, separators=(",",
+# ":"))`` would build on every call, built once.  Its markers argument is
+# None, so it keeps no circular-reference table: a shared one would keep the
+# ids a failed encode left in it and refuse a later encode of the same
+# objects as circular.
+_C_ENCODE = make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ":", ",", True, False, True)
 
-# The C encoder that ``_ENCODER.encode`` would build on every call, built
-# once.  Its markers argument is None, so it keeps no circular-reference
-# table: a shared one would keep the ids a failed encode left in it and
-# refuse a later encode of the same objects as circular.
-_C_ENCODE = (None if c_make_encoder is None else c_make_encoder(
-    None, _ENCODER.default, encode_basestring_ascii, None, ":", ",",
-    True, False, True))
 
-if _C_ENCODE is None:  # an interpreter without the _json accelerator
-    def canonical_json(obj) -> str:
-        """Deterministic JSON: sorted keys, no whitespace, integers only."""
-        return _ENCODER.encode(obj)
-else:
-    def canonical_json(obj) -> str:
-        """Deterministic JSON: sorted keys, no whitespace, integers only."""
-        return "".join(_C_ENCODE(obj, 0))
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, no whitespace, integers only."""
+    return "".join(_C_ENCODE(obj, 0))
 
 
 def _emit(obj: dict, fmt: str) -> None:

@@ -69,17 +69,20 @@ def run_starts(x: GrassmannSchubert) -> tuple[int, ...]:
     return tuple(c for i, c in enumerate(cols) if i == 0 or cols[i - 1] != c - 1)
 
 
-def run_divisors(x: GrassmannSchubert) -> tuple[tuple[int, GrassmannSchubert], ...]:
+def run_divisors(x: GrassmannSchubert) -> tuple[tuple[int, Perm], ...]:
     """Schubert divisors paired with the 1-based index of the run that
     produced them.  The divisor for the run starting at ``a`` lowers ``a``
-    to ``a - 1``; a run starting at 1 produces nothing.
+    to ``a - 1``: it is ``s_{a-1} * w``, with the values ``a - 1`` and
+    ``a`` swapped.  A run starting at 1 produces nothing.
+
+    >>> run_divisors(GrassmannSchubert(2, (2, 6, 1, 3, 4, 5)))
+    ((1, (1, 6, 2, 3, 4, 5)), (2, (2, 5, 1, 3, 4, 6)))
     """
-    cols = set(x.columns)
     out = []
     for idx, a in enumerate(run_starts(x), start=1):
         if a > 1:
-            out.append((idx, GrassmannSchubert.from_columns(
-                x.n, x.d, (cols - {a}) | {a - 1})))
+            swap = {a - 1: a, a: a - 1}
+            out.append((idx, tuple(swap.get(v, v) for v in x.w)))
     return tuple(out)
 
 

@@ -150,15 +150,6 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     return HeadReport(tuple(found), mh, tuple(reversed(maximal)))
 
 
-def contains_levi_orbit(tau: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
-    """True iff the variety of ``tau`` contains an orbit of the Levi of
-    ``I``, i.e. some degree-1 head lies below ``tau``: exactly when the
-    minimal head, which lies below every head, does."""
-    J = frozenset(J)
-    weyl.require_quotient(tau, J)
-    return weyl.bruhat_leq(minimal_head(J, I, len(tau)), tau)
-
-
 def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     """The unique minimal Levi-stable element: the coset representative of
     the longest element of ``W_I``.  Its variety is the Levi orbit through

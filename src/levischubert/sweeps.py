@@ -61,14 +61,14 @@ def divisor_stability(max_n: int) -> Iterator[dict]:
         J = x.quotient
         starts = grassmann.run_starts(x)
         stab_w = levi.max_levi(x.w, J)
-        div_stab = {idx: levi.max_levi(div.w, J) for idx, div in rds}
+        div_stab = {idx: levi.max_levi(div, J) for idx, div in rds}
         for I in _powerset(stab_w):
             for idx, div in rds:
                 claim = (starts[idx - 1] - 1) not in I
                 yield {
                     "check": "divisor-stability", "n": x.n, "d": x.d,
                     "w": list(x.w), "levi": sorted(I),
-                    "divisor": list(div.w),
+                    "divisor": list(div),
                     "ok": claim == (I <= div_stab[idx]),
                 }
 

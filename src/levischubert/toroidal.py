@@ -46,28 +46,17 @@ class ToroidalReport:
     verdict: str
 
     def to_json(self) -> dict:
-        # a run's divisor lowers the run's start, the one subject column
-        # that the divisor drops (as grassmann.run_divisors builds it)
-        starts = grassmann.run_starts(self.subject)
-        runs = {a: idx for idx, a in enumerate(starts, start=1)}
-        columns = set(self.subject.columns)
+        runs = {div: idx for idx, div in grassmann.run_divisors(self.subject)}
         return {
             "subject": self.subject.to_json(),
             "levi": {"indices": sorted(self.levi), "blocks": [
                 list(b) for b in levi.blocks(self.levi, self.subject.n)]},
-            "divisors": [{"w": list(c.divisor),
-                          "run": runs[_dropped_column(columns, c.divisor)],
+            "divisors": [{"w": list(c.divisor), "run": runs[c.divisor],
                           "stable": c.stable, "criterion": c.criterion,
                           "witness": list(c.witness) if c.witness else None}
                          for c in self.divisors],
             "verdict": self.verdict,
         }
-
-
-def _dropped_column(columns: set[int], divisor: Perm) -> int:
-    """The one value of ``columns`` missing from the divisor's columns."""
-    (a,) = columns.difference(divisor[:len(columns)])
-    return a
 
 
 def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]

@@ -1,6 +1,5 @@
 import argparse
 import dataclasses
-import importlib.util
 import itertools
 import json
 import os
@@ -387,21 +386,6 @@ class TestClassifyCommand:
         assert data["sweep"]["violations"] == 0
 
 
-def cli_without_c_encoder():
-    """A second copy of ``cli``, imported as on an interpreter without the
-    ``_json`` accelerator."""
-    spec = importlib.util.spec_from_file_location(
-        "levischubert._cli_without_c_encoder", cli.__file__)
-    module = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(json.encoder, "c_make_encoder", None)
-        spec.loader.exec_module(module)
-    return module
-
-
-CLI_WITHOUT_C = cli_without_c_encoder()
-
-
 class TestJsonCanonical:
     def test_round_trip_byte_identity(self, capsys):
         for argv in (
@@ -425,14 +409,6 @@ class TestJsonCanonical:
     def test_same_bytes_as_dumps(self, obj):
         expected = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         assert cli.canonical_json(obj) == expected
-        # the fallback encoder, on the pure-Python path it would take
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(json.encoder, "c_make_encoder", None)
-            assert CLI_WITHOUT_C.canonical_json(obj) == expected
-
-    def test_encoder_choice(self):
-        assert cli._C_ENCODE is not None
-        assert CLI_WITHOUT_C._C_ENCODE is None
 
     def test_no_state_left_by_a_failed_encode(self):
         # a shared circular-reference table would keep the ids of "a" and

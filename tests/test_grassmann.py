@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levischubert import grassmann, weyl
 from levischubert.grassmann import GrassmannSchubert
@@ -87,7 +88,7 @@ class TestDivisors:
     ])
     def test_frozen(self, d, w, expected_columns):
         divs = divisors(GrassmannSchubert(d, w))
-        assert {x.columns for x in divs} == expected_columns
+        assert {div[:d] for div in divs} == expected_columns
 
     def test_identity_has_no_divisors(self):
         # the identity indexes a point
@@ -96,21 +97,44 @@ class TestDivisors:
     def test_divisors_drop_dimension_by_one(self):
         x = GrassmannSchubert(3, (2, 3, 6, 1, 4, 5))
         for div in divisors(x):
-            assert weyl.length(div.w) == weyl.length(x.w) - 1
-            assert weyl.bruhat_leq(div.w, x.w)
+            assert weyl.length(div) == weyl.length(x.w) - 1
+            assert weyl.bruhat_leq(div, x.w)
 
     def test_equals_lower_covers(self):
-        # run replacement reproduces the quotient covers exactly
+        # run replacement reproduces the quotient covers exactly, and each
+        # divisor is the Grassmann permutation of its column set
         for n in range(2, 8):
             for d in range(1, n):
                 for x in grassmann.all_grassmann(n, d):
-                    divs = {v.w for v in divisors(x)}
+                    divs = divisors(x)
                     assert divs == weyl.lower_covers(x.w, x.quotient)
+                    assert all(GrassmannSchubert.from_columns(n, d, div[:d]).w == div
+                               for div in divs)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_equals_lower_covers_at_ranks_9_14(self, data):
+        # both sides are polynomial, so ranks past the enumeration cap work
+        n = data.draw(st.integers(9, 14), label="n")
+        d = data.draw(st.integers(1, n - 1), label="d")
+        cols = data.draw(st.sets(st.integers(1, n), min_size=d, max_size=d),
+                         label="columns")
+        x = GrassmannSchubert.from_columns(n, d, cols)
+        assert divisors(x) == weyl.lower_covers(x.w, x.quotient)
+
+    def test_builds_no_grassmann_schubert(self, monkeypatch):
+        # a divisor is s_{a-1} * w, not a validated GrassmannSchubert
+        x = GrassmannSchubert(3, (2, 3, 6, 1, 4, 5))
+        calls = []
+        fn = GrassmannSchubert.__post_init__
+        monkeypatch.setattr(GrassmannSchubert, "__post_init__",
+                            lambda self: calls.append(1) or fn(self))
+        assert len(grassmann.run_divisors(x)) == 2
+        assert calls == []
 
     def test_run_divisors_indexing(self):
         x = GrassmannSchubert(2, (1, 4, 2, 3, 5))
-        assert [(idx, div.columns) for idx, div in grassmann.run_divisors(x)] \
-            == [(2, (1, 3))]
+        assert grassmann.run_divisors(x) == ((2, (1, 3, 2, 4, 5)),)
 
 
 class TestSmoothForm:
