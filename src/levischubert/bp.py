@@ -64,11 +64,10 @@ def decompose(w: Perm, J: Iterable[int], K: Iterable[int]) -> BPDecomposition:
     >>> d.v, d.u
     ((2, 3, 1), (2, 1, 3))
     """
-    J, K = frozenset(J), frozenset(K)
+    J, K = weyl.require_indices(J, len(w)), weyl.require_indices(K, len(w))
     if not J <= K:
         raise ValueError(f"J={sorted(J)} must be contained in K={sorted(K)}")
-    weyl.require_quotient(w, J)
-    w = tuple(w)
+    w, J = weyl.require_quotient(w, J)
     v = weyl.min_coset_rep(w, K)
     return BPDecomposition(w, J, K, v, weyl.compose(weyl.inverse(v), w))
 
@@ -185,8 +184,7 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
     projection would carry a divisor violating toroidality.  Steps where
     the decomposition does not factor are reported but never certify.
     """
-    J, I = frozenset(J), frozenset(I)
-    levi.require_stable(w, J, I)
+    w, J, I = levi.require_stable(w, J, I)
     n = len(w)
     steps = []
     for d in range(1, n):
@@ -199,4 +197,4 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
         steps.append(TransportStep(d, dec.v, dec.u, is_bp_support(dec),
                                    toroidal.verdict(checks), witness))
     certified = any(s.is_bp and s.verdict == toroidal.FAILS for s in steps)
-    return TransportReport(tuple(w), J, I, tuple(steps), certified)
+    return TransportReport(w, J, I, tuple(steps), certified)

@@ -12,8 +12,8 @@ self-check).  A reader that closes stdout early ends the run quietly with
 141, the status of a process killed by SIGPIPE; an interrupt (Ctrl-C)
 ends it quietly with 130, as SIGINT would.
 
-``main`` reuses one parser per process: it calls ``build_parser`` again only
-when the names in ``sweeps.SWEEPS`` (the choices of ``--check``) change.
+``main`` reuses one parser per process, so the ``--check`` choices are the
+names in ``sweeps.SWEEPS`` when it first runs.
 ``canonical_json`` encodes through one C encoder built at import, and a
 sweep writes each of its JSON lines with a single ``write``.  The encoder
 is CPython's ``_json`` accelerator; there is no pure-Python fallback, so an
@@ -240,14 +240,14 @@ def _cmd_classify(args) -> int:
     return 1 if violations else 0
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(checks: tuple[str, ...]) -> argparse.ArgumentParser:
-    """``build_parser()`` while the sweep registry holds ``checks``."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, called once per process."""
     return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser(tuple(sorted(sweeps.SWEEPS)))
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

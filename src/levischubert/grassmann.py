@@ -25,11 +25,10 @@ class GrassmannSchubert:
     w: Perm
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(self.w))
-        n = len(self.w)
-        if not 1 <= self.d < n:
-            raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {n}")
-        weyl.require_quotient(self.w, self.quotient)
+        if not 1 <= self.d < self.n:
+            raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {self.n}")
+        w, _ = weyl.require_quotient(self.w, self.quotient)
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:

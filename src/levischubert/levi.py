@@ -56,9 +56,7 @@ def max_levi(w: Perm, J: Iterable[int] = ()) -> frozenset[int]:
     >>> sorted(max_levi((3, 4, 1, 2)))
     [2]
     """
-    J = frozenset(J)
-    weyl.require_quotient(w, J)
-    return _max_levi(tuple(w), J)
+    return _max_levi(*weyl.require_quotient(w, J))
 
 
 def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
@@ -68,15 +66,18 @@ def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
     The identity is ``I``-stable iff ``I`` is contained in ``J``: its
     variety is the base point, fixed only by the parabolic of ``J``.
     """
-    weyl.require_indices(I, len(theta))
-    return frozenset(I) <= max_levi(theta, J)
+    return weyl.require_indices(I, len(theta)) <= max_levi(theta, J)
 
 
-def require_stable(w: Perm, J: Iterable[int], I: Iterable[int]) -> None:
-    """Refuse ``w`` unless its variety in the quotient by ``J`` is stable
-    under the Levi of ``I``."""
-    if not is_stable(w, J, I):
-        raise ValueError(f"{w} is not stable under the Levi of {sorted(frozenset(I))}")
+def require_stable(w: Perm, J: Iterable[int], I: Iterable[int]
+                   ) -> tuple[Perm, frozenset[int], frozenset[int]]:
+    """``(w, J, I)`` as the ``weyl`` checks return them, refused unless the
+    variety of ``w`` mod ``J`` is stable under the Levi of ``I``."""
+    I = weyl.require_indices(I, len(w))
+    w, J = weyl.require_quotient(w, J)
+    if not I <= _max_levi(w, J):
+        raise ValueError(f"{w} is not stable under the Levi of {sorted(I)}")
+    return w, J, I
 
 
 def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
@@ -131,9 +132,9 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     longer and so already kept.  With ``H`` the heads and ``M`` the maximal
     proper ones this makes at most ``|W^J| + |H| * (|M| + 1)`` Bruhat tests.
     """
-    J, I = frozenset(J), frozenset(I)
-    weyl.require_quotient(tau, J)
-    mh = minimal_head(J, I, len(tau))  # refuses I outside 1..n-1 up front
+    tau, J = weyl.require_quotient(tau, J)
+    I = weyl.require_indices(I, len(tau))
+    mh = minimal_head(J, I, len(tau))
     # quotient_reps lists valid elements of W^J: skip max_levi's validation
     found = [t for t in weyl.quotient_reps(len(tau), J)
              if weyl.bruhat_leq(t, tau) and I <= _max_levi(t, J)]

@@ -72,8 +72,7 @@ def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
     >>> [c.criterion for c in divisor_checks((3, 4, 1, 2), (), {2})]
     ['criterion-1', 'violated', 'criterion-1', 'criterion-1']
     """
-    J, I = frozenset(J), frozenset(I)
-    levi.require_stable(w, J, I)
+    w, J, I = levi.require_stable(w, J, I)
     # the minimal head lies below every head, so a divisor contains a Levi
     # orbit exactly when it lies above the minimal head
     head = levi.minimal_head(J, I, len(w))
@@ -97,7 +96,7 @@ def verdict(checks: Iterable[DivisorCheck]) -> str:
 
 def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport:
     """:func:`divisor_checks` on a Grassmannian ``x``, with its verdict."""
-    I = frozenset(I)
+    I = weyl.require_indices(I, x.n)
     checks = divisor_checks(x.w, x.quotient, I)
     return ToroidalReport(x, I, checks, verdict(checks))
 

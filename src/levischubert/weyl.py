@@ -15,7 +15,8 @@ Conventions
   as the permutations with no right descent in ``J``.
 
 All functions are pure and operate on plain tuples, so values can be
-shared freely and dropped into sets.
+shared freely and dropped into sets.  Only the ``require_*`` checks convert
+an input, and every public entry works on the values they return.
 """
 
 from __future__ import annotations
@@ -152,10 +153,12 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
 # parabolic subsets
 # ---------------------------------------------------------------------------
 
-def require_indices(J: Iterable[int], n: int) -> None:
-    """Refuse a parabolic or Levi subset ``J`` unless it lies in ``1..n-1``."""
+def require_indices(J: Iterable[int], n: int) -> frozenset[int]:
+    """``frozenset(J)``, refused unless it lies in ``1..n-1``."""
+    J = frozenset(J)
     if J and (min(J) < 1 or max(J) >= n):
         raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
+    return J
 
 
 def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -166,8 +169,7 @@ def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
     >>> position_blocks({1, 3, 4}, 6)
     ((1, 2), (3, 5), (6, 6))
     """
-    J = frozenset(J)
-    require_indices(J, n)
+    J = require_indices(J, n)
     blocks = []
     lo = 1
     for i in range(1, n):
@@ -183,15 +185,18 @@ def in_quotient(w: Perm, J: Iterable[int]) -> bool:
     return not (right_descents(w) & frozenset(J))
 
 
-def require_quotient(w: Perm, J: Iterable[int]) -> None:
-    """Refuse ``w`` unless it lies in ``W^J``, for a set ``J`` in ``1..n-1``."""
+def require_quotient(w: Perm, J: Iterable[int]) -> tuple[Perm, frozenset[int]]:
+    """``(tuple(w), frozenset(J))``, refused unless ``w`` is a permutation
+    in ``W^J`` for a set ``J`` in ``1..n-1``."""
+    w = tuple(w)
     if not is_permutation(w):
         raise ValueError(f"{w} is not a permutation")
-    require_indices(J, len(w))
-    if not in_quotient(w, J):
+    J = require_indices(J, len(w))
+    if right_descents(w) & J:
         raise ValueError(
-            f"{w} has a right descent in J={sorted(frozenset(J))}; "
+            f"{w} has a right descent in J={sorted(J)}; "
             "not a minimal coset representative")
+    return w, J
 
 
 def min_coset_rep(w: Perm, J: Iterable[int]) -> Perm:
@@ -295,8 +300,7 @@ def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
     >>> sorted(lower_covers((3, 4, 1, 2)))
     [(1, 4, 3, 2), (2, 4, 1, 3), (3, 1, 4, 2), (3, 2, 1, 4)]
     """
-    J = frozenset(J)
-    require_quotient(w, J)
+    w, J = require_quotient(w, J)
     covers = set()
     for i, top in enumerate(w):
         best = 0
@@ -333,9 +337,7 @@ def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     >>> poincare_polynomial((2, 3, 1), {1})
     (1, 1, 1)
     """
-    J = frozenset(J)
-    require_quotient(w, J)
-    return _poincare(tuple(w), J)
+    return _poincare(*require_quotient(w, J))
 
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:

@@ -299,11 +299,13 @@ class TestSweep:
 
     def test_interrupt_ends_quietly(self, capsys, monkeypatch):
         def interrupted(bound):
-            yield {"check": "interrupted", "ok": True}
+            yield {"check": "head-oracle", "ok": True}
             raise KeyboardInterrupt
-        monkeypatch.setitem(sweeps.SWEEPS, "interrupted", (interrupted, 6, False))
+        # the parser is built once per process, so the rigged sweep takes
+        # the place of a registered one
+        monkeypatch.setitem(sweeps.SWEEPS, "head-oracle", (interrupted, 6, False))
         try:
-            code, _, err = run_cli(capsys, "sweep", "--check", "interrupted")
+            code, _, err = run_cli(capsys, "sweep", "--check", "head-oracle")
         except KeyboardInterrupt:
             pytest.fail("KeyboardInterrupt escaped cli.main")
         assert code == 130
@@ -314,17 +316,17 @@ class TestSweep:
 
     def test_violation_found_exits_one(self, capsys, monkeypatch):
         def rigged(bound):
-            yield {"check": "rigged", "ok": True}
-            yield {"check": "rigged", "ok": False}
-        monkeypatch.setitem(sweeps.SWEEPS, "rigged", (rigged, 6, False))
-        code, out, _ = run_cli(capsys, "sweep", "--check", "rigged",
+            yield {"check": "head-oracle", "ok": True}
+            yield {"check": "head-oracle", "ok": False}
+        monkeypatch.setitem(sweeps.SWEEPS, "head-oracle", (rigged, 6, False))
+        code, out, _ = run_cli(capsys, "sweep", "--check", "head-oracle",
                                "--format", "text")
         assert code == 1
-        assert "1 disagreements" in out
+        assert out == "head-oracle: 2 instances, 1 disagreements\n"
 
 
 class TestSharedParser:
-    def test_built_once_per_registry(self, monkeypatch):
+    def test_built_once_per_process(self, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -333,24 +335,19 @@ class TestSharedParser:
             if self.prog == "levischubert":
                 built.append(self)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        # a registry no earlier call has seen, so the first call builds
-        monkeypatch.setitem(sweeps.SWEEPS, "first", (sweeps.head_oracle, 6, True))
+        # start from an empty cache, as a new process does
+        cli._parser.cache_clear()
         for argv in (
             ["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"],
             ["heads", "--n", "4", "--w", "3,4,1,2", "--levi", "2"],
             ["toroidal", "--n", "4", "--d", "2", "--w", "1,4,2,3", "--levi", "2,3"],
             ["bp", "--n", "3", "--w", "3,2,1", "--quotient", "1"],
-            ["sweep", "--check", "first", "--max-n", "3"],
+            ["sweep", "--check", "head-oracle", "--max-n", "3"],
             ["classify", "--max-m", "5"],
             ["analyze", "--n", "4"],
         ):
             cli.main(argv)
         assert len(built) == 1
-        # a new sweep is a new --check choice, so the parser is built again
-        monkeypatch.setitem(sweeps.SWEEPS, "second", (sweeps.head_oracle, 6, True))
-        assert cli.main(["sweep", "--check", "second", "--max-n", "3"]) == 0
-        assert cli.main(["sweep", "--check", "first", "--max-n", "3"]) == 0
-        assert len(built) == 2
 
 
 class TestInternalError:

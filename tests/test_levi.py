@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import bp, grassmann, levi, weyl
+from levischubert import bp, grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
 
 
@@ -218,13 +218,48 @@ class TestParabolicRange:
         lambda: levi.is_stable((1, 2, 3), (), {9}),
         lambda: levi.require_stable((3, 2, 1), (), {5}),
         lambda: bp.nontoroidal_transport((3, 2, 1), (), {5}),
+        lambda: levi.heads_below((3, 1, 2), {9}, ()),
+        lambda: toroidal.divisor_checks((3, 2, 1), (), {5}),
+        lambda: bp.decompose((3, 2, 1), (), {5}),
     ], ids=["max_levi", "is_stable", "lower_covers", "require_quotient",
-            "is_stable_levi", "require_stable", "nontoroidal_transport"])
+            "is_stable_levi", "require_stable", "nontoroidal_transport",
+            "heads_below", "divisor_checks", "decompose_K"])
     def test_parabolic_index_out_of_range(self, call):
         # the parabolic J or the Levi I is refused with the message
         # heads_below gives, never answered as unstable
         with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
             call()
+
+
+# (w, J, I, K): a Grassmannian w in W^J, stable under the Levi of I, and a
+# K containing J
+INSTANCE = ((2, 6, 1, 3, 4, 5), {1, 3, 4, 5}, {1, 3, 4, 5}, {1, 2, 3, 4, 5})
+ENTRIES = {
+    "require_indices": lambda w, J, I, K: weyl.require_indices(J, len(w)),
+    "require_quotient": lambda w, J, I, K: weyl.require_quotient(w, J),
+    "lower_covers": lambda w, J, I, K: weyl.lower_covers(w, J),
+    "poincare_polynomial": lambda w, J, I, K: weyl.poincare_polynomial(w, J),
+    "max_levi": lambda w, J, I, K: levi.max_levi(w, J),
+    "is_stable": lambda w, J, I, K: levi.is_stable(w, J, I),
+    "require_stable": lambda w, J, I, K: levi.require_stable(w, J, I),
+    "heads_below": lambda w, J, I, K: levi.heads_below(w, J, I),
+    "divisor_checks": lambda w, J, I, K: toroidal.divisor_checks(w, J, I),
+    "toroidal_necessary": lambda w, J, I, K: toroidal.toroidal_necessary(
+        GrassmannSchubert(2, w), I),
+    "decompose": lambda w, J, I, K: bp.decompose(w, J, K),
+    "nontoroidal_transport":
+        lambda w, J, I, K: bp.nontoroidal_transport(w, J, I),
+}
+
+
+class TestInputForms:
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_list_and_iterators_as_tuple_and_frozensets(self, entry):
+        # the weyl checks convert each input once, so a list w and
+        # one-shot iterators of indices are read as a tuple and frozensets
+        w, J, I, K = INSTANCE
+        expected = entry(w, frozenset(J), frozenset(I), frozenset(K))
+        assert entry(list(w), iter(J), iter(I), iter(K)) == expected
 
 
 def report(tau, J, I):
@@ -306,7 +341,8 @@ class TestBoundary:
     def test_requires_stability(self):
         with pytest.raises(ValueError, match="not stable under the Levi of \\[2\\]"):
             levi.require_stable((2, 4, 1, 3), (), {2})
-        assert levi.require_stable((3, 4, 1, 2), (), {2}) is None
+        assert levi.require_stable([3, 4, 1, 2], (), {2}) \
+            == ((3, 4, 1, 2), frozenset(), frozenset({2}))
 
 
 class TestHeadReportJson:
