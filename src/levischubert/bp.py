@@ -64,10 +64,14 @@ def decompose(w: Perm, J: Iterable[int], K: Iterable[int]) -> BPDecomposition:
     >>> d.v, d.u
     ((2, 3, 1), (2, 1, 3))
     """
-    J, K = weyl.require_indices(J, len(w)), weyl.require_indices(K, len(w))
+    K = weyl.require_indices(K, len(w))
+    w, J = weyl.require_quotient(w, J)
     if not J <= K:
         raise ValueError(f"J={sorted(J)} must be contained in K={sorted(K)}")
-    w, J = weyl.require_quotient(w, J)
+    return _decompose(w, J, K)
+
+
+def _decompose(w: Perm, J: frozenset[int], K: frozenset[int]) -> BPDecomposition:
     v = weyl.min_coset_rep(w, K)
     return BPDecomposition(w, J, K, v, weyl.compose(weyl.inverse(v), w))
 
@@ -99,8 +103,8 @@ def poincare_factorizes(d: BPDecomposition) -> bool:
     >>> poincare_factorizes(decompose((3, 2, 1), (), {1}))
     True
     """
-    return weyl.poincare_polynomial(d.w, d.J) == weyl.poly_mul(
-        weyl.poincare_polynomial(d.v, d.K), weyl.poincare_polynomial(d.u, d.J))
+    return weyl._poincare(d.w, d.J) == weyl.poly_mul(
+        weyl._poincare(d.v, d.K), weyl._poincare(d.u, d.J))
 
 
 def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
@@ -119,9 +123,9 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     (2, 3, 1) (2, 3, 1) onto-image
     (3, 1, 2) (1, 3, 2) unique-divisor
     """
-    vcovers = weyl.lower_covers(d.v, d.K)
+    vcovers = weyl._lower_covers(d.v, d.K)
     out = []
-    for tau in weyl.lower_covers(d.w, d.J):
+    for tau in weyl._lower_covers(d.w, d.J):
         image = weyl.min_coset_rep(tau, d.K)
         kind = ONTO if image == d.v else DIVISOR if image in vcovers else NEITHER
         out.append((tau, image, kind))
@@ -190,8 +194,8 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
     for d in range(1, n):
         if d in J:
             continue
-        dec = decompose(w, J, frozenset(range(1, n)) - {d})
-        checks = toroidal.divisor_checks(dec.v, dec.K, I)
+        dec = _decompose(w, J, frozenset(range(1, n)) - {d})
+        checks = toroidal._divisor_checks(dec.v, dec.K, I)
         witness = next((c.witness for c in checks
                         if c.criterion == toroidal.VIOLATED), None)
         steps.append(TransportStep(d, dec.v, dec.u, is_bp_support(dec),

@@ -25,6 +25,7 @@ class GrassmannSchubert:
     w: Perm
 
     def __post_init__(self):
+        object.__setattr__(self, "d", weyl.require_int(self.d, "descent position d"))
         if not 1 <= self.d < self.n:
             raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {self.n}")
         w, _ = weyl.require_quotient(self.w, self.quotient)
@@ -95,6 +96,8 @@ def is_smooth(x: GrassmannSchubert) -> bool:
 
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     """Every element of ``S_n^d``, in column lexicographic order."""
+    n = weyl.require_int(n, "rank n")
     weyl._check_rank(n)
+    d = GrassmannSchubert(d, weyl.identity(n)).d  # refuses d outside 1..n-1
     for cols in itertools.combinations(range(1, n + 1), d):
         yield GrassmannSchubert.from_columns(n, d, cols)

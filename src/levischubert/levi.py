@@ -66,7 +66,8 @@ def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
     The identity is ``I``-stable iff ``I`` is contained in ``J``: its
     variety is the base point, fixed only by the parabolic of ``J``.
     """
-    return weyl.require_indices(I, len(theta)) <= max_levi(theta, J)
+    I = weyl.require_indices(I, len(theta))
+    return I <= _max_levi(*weyl.require_quotient(theta, J))
 
 
 def require_stable(w: Perm, J: Iterable[int], I: Iterable[int]
@@ -135,7 +136,6 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     tau, J = weyl.require_quotient(tau, J)
     I = weyl.require_indices(I, len(tau))
     mh = minimal_head(J, I, len(tau))
-    # quotient_reps lists valid elements of W^J: skip max_levi's validation
     found = [t for t in weyl.quotient_reps(len(tau), J)
              if weyl.bruhat_leq(t, tau) and I <= _max_levi(t, J)]
     found.sort(key=lambda t: (weyl.length(t), t))

@@ -41,7 +41,7 @@ def head_oracle(max_n: int) -> Iterator[dict]:
     """Block criterion vs the closed form of :func:`levi.max_levi`, over
     every Grassmann permutation and every Levi."""
     for x in _all_grassmann(max_n):
-        stab = levi.max_levi(x.w, x.quotient)
+        stab = levi._max_levi(x.w, x.quotient)
         for I in _powerset(range(1, x.n)):
             yield {
                 "check": "head-oracle", "n": x.n, "d": x.d,
@@ -60,8 +60,8 @@ def divisor_stability(max_n: int) -> Iterator[dict]:
             continue
         J = x.quotient
         starts = grassmann.run_starts(x)
-        stab_w = levi.max_levi(x.w, J)
-        div_stab = {idx: levi.max_levi(div, J) for idx, div in rds}
+        stab_w = levi._max_levi(x.w, J)
+        div_stab = {idx: levi._max_levi(div, J) for idx, div in rds}
         for I in _powerset(stab_w):
             for idx, div in rds:
                 claim = (starts[idx - 1] - 1) not in I
@@ -100,7 +100,7 @@ def bp_equivalence(max_n: int) -> Iterator[dict]:
     for n in range(2, max_n + 1):
         for J, K in _subset_pairs(n):
             for w in weyl.quotient_reps(n, J):
-                d = bp.decompose(w, J, K)
+                d = bp._decompose(w, J, K)
                 a = bp.is_bp_maximality(d)
                 b = bp.is_bp_support(d)
                 c = bp.poincare_factorizes(d)
@@ -118,7 +118,7 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
     for n in range(2, max_n + 1):
         for w in weyl.quotient_reps(n):
             for K in _powerset(range(1, n)):
-                d = bp.decompose(w, (), K)
+                d = bp._decompose(w, frozenset(), K)
                 if not bp.is_bp_support(d):
                     continue
                 for tau, _, kind in bp.project_divisors(d):
@@ -135,7 +135,7 @@ def smooth_palindromic(max_n: int) -> Iterator[dict]:
     palindromic (rational smoothness, which in type A is smoothness)."""
     for x in _all_grassmann(max_n):
         smooth = grassmann.is_smooth(x)
-        pal = weyl.is_palindromic(weyl.poincare_polynomial(x.w, x.quotient))
+        pal = weyl.is_palindromic(weyl._poincare(x.w, x.quotient))
         yield {
             "check": "smooth-palindromic", "n": x.n, "d": x.d,
             "w": list(x.w), "ok": smooth == pal,

@@ -72,13 +72,16 @@ def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
     >>> [c.criterion for c in divisor_checks((3, 4, 1, 2), (), {2})]
     ['criterion-1', 'violated', 'criterion-1', 'criterion-1']
     """
-    w, J, I = levi.require_stable(w, J, I)
+    return _divisor_checks(*levi.require_stable(w, J, I))
+
+
+def _divisor_checks(w: Perm, J: frozenset, I: frozenset) -> tuple[DivisorCheck, ...]:
     # the minimal head lies below every head, so a divisor contains a Levi
     # orbit exactly when it lies above the minimal head
     head = levi.minimal_head(J, I, len(w))
     checks = []
-    for tau in sorted(weyl.lower_covers(w, J)):
-        stable = levi.is_stable(tau, J, I)
+    for tau in sorted(weyl._lower_covers(w, J)):
+        stable = I <= levi._max_levi(tau, J)
         if stable:
             criterion, witness = CRITERION_STABLE, None
         elif weyl.bruhat_leq(head, tau):
@@ -96,8 +99,8 @@ def verdict(checks: Iterable[DivisorCheck]) -> str:
 
 def toroidal_necessary(x: GrassmannSchubert, I: Iterable[int]) -> ToroidalReport:
     """:func:`divisor_checks` on a Grassmannian ``x``, with its verdict."""
-    I = weyl.require_indices(I, x.n)
-    checks = divisor_checks(x.w, x.quotient, I)
+    w, J, I = levi.require_stable(x.w, x.quotient, I)
+    checks = _divisor_checks(w, J, I)
     return ToroidalReport(x, I, checks, verdict(checks))
 
 
@@ -112,7 +115,7 @@ def unique_head_check(x: GrassmannSchubert) -> bool:
     """
     if not grassmann.is_smooth(x):
         raise ValueError(f"{x.w} does not have the smooth column pattern")
-    I = levi.max_levi(x.w, x.quotient)
+    I = levi._max_levi(x.w, x.quotient)
     return levi.minimal_head(x.quotient, I, x.n) == x.w
 
 
@@ -128,5 +131,5 @@ def no_stable_divisor_check(x: GrassmannSchubert) -> bool:
     if grassmann.is_smooth(x):
         raise ValueError(f"{x.w} has the smooth column pattern; "
                          "the check applies to singular varieties")
-    I = levi.max_levi(x.w, x.quotient)
-    return not any(c.stable for c in divisor_checks(x.w, x.quotient, I))
+    I = levi._max_levi(x.w, x.quotient)
+    return not any(c.stable for c in _divisor_checks(x.w, x.quotient, I))

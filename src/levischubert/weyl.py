@@ -14,18 +14,22 @@ Conventions
   the set of minimal-length left coset representatives of ``W_J``, realized
   as the permutations with no right descent in ``J``.
 
-All functions are pure and operate on plain tuples, so values can be
-shared freely and dropped into sets.  Only the ``require_*`` checks convert
-an input, and every public entry works on the values they return.
+All functions are pure and operate on plain tuples, so values can be shared
+freely and dropped into sets.  A public entry checks its input once by the
+``require_*`` checks, which return it as plain ints, and passes it to a core
+(``_lower_covers``, ...) that trusts it; package code calls only cores.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
+_INT = frozenset({int})
+_ROOTS = {n: frozenset(range(1, n)) for n in range(65)}  # require_indices' fast path
 
 #: Brute-force enumerations refuse to run above this rank.
 RANK_LIMIT = 8
@@ -153,11 +157,20 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
 # parabolic subsets
 # ---------------------------------------------------------------------------
 
+def require_int(value: int, what: str) -> int:
+    """``value`` as a plain ``int`` by ``operator.index``; a ``bool`` is refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 def require_indices(J: Iterable[int], n: int) -> frozenset[int]:
-    """``frozenset(J)``, refused unless it lies in ``1..n-1``."""
+    """``frozenset(J)`` of plain ints, refused unless it lies in ``1..n-1``."""
     J = frozenset(J)
-    if J and (min(J) < 1 or max(J) >= n):
-        raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
+    if J and not (J.issubset(_ROOTS.get(n, ())) and _INT.issuperset(map(type, J))):
+        J = frozenset(require_int(j, "a parabolic index") for j in J)
+        if min(J) < 1 or max(J) >= n:
+            raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
     return J
 
 
@@ -180,15 +193,12 @@ def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
-def in_quotient(w: Perm, J: Iterable[int]) -> bool:
-    """True iff ``w`` is a minimal coset representative (no right descent in J)."""
-    return not (right_descents(w) & frozenset(J))
-
-
 def require_quotient(w: Perm, J: Iterable[int]) -> tuple[Perm, frozenset[int]]:
     """``(tuple(w), frozenset(J))``, refused unless ``w`` is a permutation
-    in ``W^J`` for a set ``J`` in ``1..n-1``."""
+    in ``W^J`` for a set ``J`` in ``1..n-1``; its entries become plain ints."""
     w = tuple(w)
+    if not _INT.issuperset(map(type, w)):
+        w = tuple(require_int(v, "a permutation entry") for v in w)
     if not is_permutation(w):
         raise ValueError(f"{w} is not a permutation")
     J = require_indices(J, len(w))
@@ -268,7 +278,7 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
     >>> quotient_reps(3, {1})
     ((1, 2, 3), (1, 3, 2), (2, 3, 1))
     """
-    return _quotient_reps(n, frozenset(J))
+    return _quotient_reps(n, require_indices(J, n))
 
 
 # uncalled; kept because bench/worker.py reads its cache counters by name
@@ -300,7 +310,10 @@ def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
     >>> sorted(lower_covers((3, 4, 1, 2)))
     [(1, 4, 3, 2), (2, 4, 1, 3), (3, 1, 4, 2), (3, 2, 1, 4)]
     """
-    w, J = require_quotient(w, J)
+    return _lower_covers(*require_quotient(w, J))
+
+
+def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
     covers = set()
     for i, top in enumerate(w):
         best = 0
@@ -310,7 +323,7 @@ def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
                 t = list(w)
                 t[i], t[j] = best, top
                 t = tuple(t)
-                if in_quotient(t, J):
+                if right_descents(t).isdisjoint(J):
                     covers.add(t)
     return frozenset(covers)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import bp, levi, toroidal, weyl
+from test_toroidal import brute_force_checks, stabilizer, subsets
 
 
 def subset_pairs(n):
@@ -47,9 +49,9 @@ class TestParabolicDecompose:
             for w in weyl.quotient_reps(n, J):
                 v, u = factors(w, J, K)
                 assert weyl.compose(v, u) == w
-                assert weyl.in_quotient(v, K)
+                assert oracles.coset_min(v, K) == v
                 assert oracles.coset_min(u, K) == oracles.ident(n)
-                assert weyl.in_quotient(u, J)
+                assert oracles.coset_min(u, J) == u
                 assert weyl.length(w) == weyl.length(v) + weyl.length(u)
                 assert v == oracles.coset_min(w, K)
 
@@ -277,6 +279,34 @@ class TestTransport:
         assert set(data) == {
             "w", "parabolic", "levi", "steps", "certified_nontoroidal"}
         assert data["certified_nontoroidal"] is True
+
+    def test_sound_against_the_direct_check_and_oracles(self):
+        # every stable (w, J, I) at 2 <= n <= 5: each step's factors are the
+        # coset oracle's, its verdict is the brute-force check on (v, K, I),
+        # and a certified triple fails the brute-force check on w itself
+        checks = functools.lru_cache(maxsize=None)(brute_force_checks)
+        triples = certified = 0
+        for n in range(2, 6):
+            for J in subsets(range(1, n)):
+                for w in oracles.quotient_perms(n, J):
+                    for I in subsets(stabilizer(w, J)):
+                        report = bp.nontoroidal_transport(w, J, I)
+                        triples += 1
+                        for step in report.steps:
+                            K = frozenset(range(1, n)) - {step.omitted}
+                            assert step.v == oracles.coset_min(w, K)
+                            assert oracles.multiply(step.v, step.u) == w
+                            assert oracles.coset_min(step.u, K) == oracles.ident(n)
+                            violated = [c[3] for c in checks(step.v, K, I)
+                                        if c[2] == toroidal.VIOLATED]
+                            assert step.verdict == (
+                                toroidal.FAILS if violated else toroidal.PASSES)
+                            assert step.witness == next(iter(violated), None)
+                        if report.certified_nontoroidal:
+                            certified += 1
+                            assert any(c[2] == toroidal.VIOLATED
+                                       for c in checks(w, J, I)), (w, J, I)
+        assert (triples, certified) == (3280, 1042)
 
     def test_image_of_stable_is_stable(self):
         # equivariance of the projection, checked over the full flag at n=4

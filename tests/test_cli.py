@@ -193,13 +193,14 @@ MUTANTS = {
     "divisor-stability": (grassmann, "run_divisors", misrouted, 4),
     "smooth-unique-head": (
         levi, "minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
+    # the sweep reaches the checks through the core, not the validating entry
     "singular-no-stable-divisor": (
-        toroidal, "divisor_checks", lambda f: lambda w, J, I: tuple(
+        toroidal, "_divisor_checks", lambda f: lambda w, J, I: tuple(
             dataclasses.replace(c, stable=True) for c in f(w, J, I)), 4),
     "bp-equivalence": (bp, "is_bp_support", lambda f: lambda d: True, 3),
     # v then has no divisors, so every non-onto image is neither
     "projection-dichotomy": (
-        weyl, "lower_covers", lambda f: lambda w, J=(): frozenset() if J else f(w, J), 4),
+        weyl, "_lower_covers", lambda f: lambda w, J: frozenset() if J else f(w, J), 4),
     "smooth-palindromic": (grassmann, "is_smooth", lambda f: lambda x: False, 4),
     "classify-codim": (classify, "case_dimensions", lambda f: lambda case: (1, 1, 1), 3),
 }

@@ -23,6 +23,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GrassmannSchubert(d, w)
 
+    @pytest.mark.parametrize("d", [0, 4, 7])
+    def test_all_grassmann_rejects_descent_out_of_range(self, d):
+        # refused, not answered with no element
+        with pytest.raises(ValueError, match="must satisfy 1 <= d < 4"):
+            list(grassmann.all_grassmann(4, d))
+
     def test_from_columns_rejects_bad_sets(self):
         with pytest.raises(ValueError):
             GrassmannSchubert.from_columns(4, 2, [1])

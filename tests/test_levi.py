@@ -193,16 +193,6 @@ class TestHeadsBelow:
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
-    def test_validates_once(self, monkeypatch):
-        # tau is validated on entry; the elements quotient_reps generates
-        # are valid already and are not validated again
-        calls = []
-        fn = weyl.require_quotient
-        monkeypatch.setattr(weyl, "require_quotient",
-                            lambda w, J: calls.append(1) or fn(w, J))
-        levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {2})
-        assert len(calls) == 1
-
     def test_levi_index_out_of_range(self):
         # refused, not answered with no heads
         with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
@@ -251,6 +241,43 @@ ENTRIES = {
         lambda w, J, I, K: bp.nontoroidal_transport(w, J, I),
 }
 
+#: every entry that takes integers: (entry, its plain arguments)
+INT_ENTRIES = {
+    **{name: (entry, INSTANCE) for name, entry in ENTRIES.items()},
+    "GrassmannSchubert": (lambda d, w: GrassmannSchubert(d, w).to_json(),
+                          (2, (2, 6, 1, 3, 4, 5))),
+    "all_grassmann": (lambda n, d: list(grassmann.all_grassmann(n, d)), (5, 2)),
+}
+
+
+class Index:
+    """An integer type other than ``int``, read by ``operator.index``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+#: the forms an integer is drawn in: read as the int, or refused when read
+FORMS = {"int": int, "index": Index, "float": float,
+         "fraction": lambda v: v + 0.5, "bool": bool, "str": str}
+
+
+def reform(data, value):
+    """``value`` with each integer inside it in a drawn form, and whether
+    each is read as the int."""
+    if isinstance(value, int):
+        form = data.draw(st.sampled_from(sorted(FORMS)), label=f"form of {value}")
+        return FORMS[form](value), form in ("int", "index")
+    parts = [reform(data, v) for v in value]
+    return type(value)(v for v, _ in parts), all(ok for _, ok in parts)
+
+
+#: require_quotient calls of the entries that make other than one
+ONE_CHECK_PER_W = {"require_indices": 0, "toroidal_necessary": 2}
+
 
 class TestInputForms:
     @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
@@ -260,6 +287,50 @@ class TestInputForms:
         w, J, I, K = INSTANCE
         expected = entry(w, frozenset(J), frozenset(I), frozenset(K))
         assert entry(list(w), iter(J), iter(I), iter(K)) == expected
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    @pytest.mark.parametrize("entry,args", INT_ENTRIES.values(), ids=INT_ENTRIES.keys())
+    def test_integers_in_any_form(self, entry, args, data):
+        # each index, entry, n and d becomes a plain int through
+        # operator.index: an entry gives the result on plain ints, or, when
+        # it reads a bool, float or string, refuses it
+        reformed, readable = reform(data, args)
+        try:
+            got = entry(*reformed)
+        except ValueError as exc:
+            assert not readable and "must be an integer" in str(exc)
+        else:
+            assert got == entry(*args)
+
+    @pytest.mark.parametrize("call", [
+        lambda: levi.is_stable((1, 2, 3, 4), (), {1.5}),
+        lambda: bp.decompose((4, 3, 2, 1), (), {2.5}),
+        lambda: weyl.require_quotient((True, 2, 3), ()),
+        lambda: weyl.require_quotient((1.0, 2, 3), ()),
+        lambda: weyl.require_indices({"1"}, 4),
+        lambda: weyl.require_indices({2.0}, 4),
+        lambda: levi.max_levi((1, 2, 3), {True}),
+        lambda: GrassmannSchubert(2.0, (1, 3, 2)),
+    ], ids=["is_stable", "decompose", "require_quotient_bool",
+            "require_quotient_float", "require_indices_str",
+            "require_indices_float", "max_levi_bool", "GrassmannSchubert"])
+    def test_non_integer_refused(self, call):
+        # each was answered, or refused with TypeError, before the rule
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_validates_each_w_once(self, monkeypatch, name):
+        # an entry checks the w handed in once and works on trusted values
+        # from then on: divisors, images and heads are not checked again;
+        # toroidal_necessary also builds a GrassmannSchubert, which checks w
+        calls = []
+        fn = weyl.require_quotient
+        monkeypatch.setattr(weyl, "require_quotient",
+                            lambda w, J: calls.append(1) or fn(w, J))
+        ENTRIES[name](*INSTANCE)
+        assert len(calls) == ONE_CHECK_PER_W.get(name, 1)
 
 
 def report(tau, J, I):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import bp, grassmann, levi, toroidal, weyl
+from levischubert import grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
 
 
@@ -112,25 +112,6 @@ class TestDivisorChecks:
                       else st.just(frozenset()), label="I")
         assert as_tuples(toroidal.divisor_checks(w, J, I)) \
             == brute_force_checks(w, J, I), (w, J, I)
-
-    def test_validates_once(self, monkeypatch):
-        # the minimal head is computed once per call, and an unstable
-        # divisor is compared with it without being validated again: each
-        # divisor is validated once (in is_stable), w twice (in
-        # require_stable and lower_covers)
-        calls = []
-        fn = weyl.require_quotient
-        monkeypatch.setattr(weyl, "require_quotient",
-                            lambda w, J: calls.append(1) or fn(w, J))
-        # one more for the GrassmannSchubert; two divisors
-        toroidal.toroidal_necessary(
-            GrassmannSchubert(2, (2, 6, 1, 3, 4, 5)), {1, 3, 4, 5})
-        assert len(calls) == 5
-        calls.clear()
-        # w once in its stability test; then for each of the five images v,
-        # w again in decompose and v and its divisors as above
-        bp.nontoroidal_transport((6, 2, 5, 4, 3, 1), (), {1, 3, 4, 5})
-        assert len(calls) == 24
 
 
 class TestNecessaryConditions:
