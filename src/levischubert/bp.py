@@ -72,7 +72,7 @@ def decompose(w: Perm, J: Iterable[int], K: Iterable[int]) -> BPDecomposition:
 
 
 def _decompose(w: Perm, J: frozenset[int], K: frozenset[int]) -> BPDecomposition:
-    v = weyl.min_coset_rep(w, K)
+    v = weyl._min_coset_rep(w, K)
     return BPDecomposition(w, J, K, v, weyl.compose(weyl.inverse(v), w))
 
 
@@ -85,14 +85,14 @@ def is_bp_maximality(d: BPDecomposition) -> bool:
     for i in weyl.reduced_word(d.w):
         if i in d.K and m[i - 1] < m[i]:
             m[i - 1], m[i] = m[i], m[i - 1]
-    return d.u == weyl.min_coset_rep(tuple(m), d.J)
+    return d.u == weyl._min_coset_rep(tuple(m), d.J)
 
 
 def is_bp_support(d: BPDecomposition) -> bool:
     """Support characterization: every index of ``K`` supporting ``v`` is a
     left descent of the longest element ``u * w0(J)`` of the coset
     ``u * W_J``.  Polynomial, so it is the production test."""
-    u_top = weyl.compose(d.u, weyl.longest_element(d.J, len(d.w)))
+    u_top = weyl.compose(d.u, weyl._longest_element(d.J, len(d.w)))
     return (weyl.support(d.v) & d.K) <= weyl.left_descents(u_top)
 
 
@@ -126,7 +126,7 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     vcovers = weyl._lower_covers(d.v, d.K)
     out = []
     for tau in weyl._lower_covers(d.w, d.J):
-        image = weyl.min_coset_rep(tau, d.K)
+        image = weyl._min_coset_rep(tau, d.K)
         kind = ONTO if image == d.v else DIVISOR if image in vcovers else NEITHER
         out.append((tau, image, kind))
     return tuple(out)

@@ -33,7 +33,8 @@ def blocks(I: Iterable[int], n: int) -> tuple[tuple[int, ...], ...]:
     >>> blocks({1, 3, 4, 7}, 8)
     ((1, 2), (3, 4, 5), (6,), (7, 8))
     """
-    return tuple(tuple(range(lo, hi + 1)) for lo, hi in weyl.position_blocks(I, n))
+    return tuple(tuple(range(lo, hi + 1))
+                 for lo, hi in weyl._position_blocks(weyl.require_indices(I, n), n))
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +93,7 @@ def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
     False
     """
     cols = set(x.columns)
-    for lo, hi in weyl.position_blocks(I, x.n):
+    for lo, hi in weyl._position_blocks(weyl.require_indices(I, x.n), x.n):
         hit = cols.intersection(range(lo, hi + 1))
         # k values of [lo, hi] form its top segment iff the least is hi + 1 - k
         if hit and min(hit) != hi + 1 - len(hit):
@@ -126,19 +127,21 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """Enumerate every degree-1 head below ``tau``: the ``theta <= tau``
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
 
-    The enumeration is exhaustive over ``W^J``; ranks above the configured
-    cap are refused.  The minimal head is :func:`minimal_head`, checked to
-    lie below every head.  The maximal proper heads are found longest
-    first: a head that is not maximal lies below a maximal one, which is
-    longer and so already kept.  With ``H`` the heads and ``M`` the maximal
-    proper ones this makes at most ``|W^J| + |H| * (|M| + 1)`` Bruhat tests.
+    The heads come from a walk over ``W^J`` that prunes every prefix with
+    no head below ``tau`` among its completions (``weyl._stable_below``),
+    so no element of ``W^J`` is tested one by one; ranks above the
+    configured cap are still refused.  The minimal head is
+    :func:`minimal_head`, checked to lie below every head.  The maximal
+    proper heads are found longest first: a head that is not maximal lies
+    below a maximal one, which is longer and so already kept.  With ``H``
+    the heads and ``M`` the maximal proper ones this makes at most
+    ``|H| * (|M| + 1)`` Bruhat tests.
     """
     tau, J = weyl.require_quotient(tau, J)
     I = weyl.require_indices(I, len(tau))
-    mh = minimal_head(J, I, len(tau))
-    found = [t for t in weyl.quotient_reps(len(tau), J)
-             if weyl.bruhat_leq(t, tau) and I <= _max_levi(t, J)]
-    found.sort(key=lambda t: (weyl.length(t), t))
+    weyl._check_rank(len(tau))
+    mh = _minimal_head(J, I, len(tau))
+    found = [t for _, t in sorted(weyl._stable_below(tau, J, I))]
     if not found:
         return HeadReport((), None, ())
     if any(not weyl.bruhat_leq(mh, h) for h in found):
@@ -159,4 +162,8 @@ def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     >>> minimal_head((), {2}, 4)
     (1, 3, 2, 4)
     """
-    return weyl.min_coset_rep(weyl.longest_element(I, n), J)
+    return _minimal_head(weyl.require_indices(J, n), weyl.require_indices(I, n), n)
+
+
+def _minimal_head(J: frozenset[int], I: frozenset[int], n: int) -> Perm:
+    return weyl._min_coset_rep(weyl._longest_element(I, n), J)

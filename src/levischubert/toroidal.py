@@ -78,7 +78,7 @@ def divisor_checks(w: Perm, J: Iterable[int], I: Iterable[int]
 def _divisor_checks(w: Perm, J: frozenset, I: frozenset) -> tuple[DivisorCheck, ...]:
     # the minimal head lies below every head, so a divisor contains a Levi
     # orbit exactly when it lies above the minimal head
-    head = levi.minimal_head(J, I, len(w))
+    head = levi._minimal_head(J, I, len(w))
     checks = []
     for tau in sorted(weyl._lower_covers(w, J)):
         stable = I <= levi._max_levi(tau, J)
@@ -116,7 +116,7 @@ def unique_head_check(x: GrassmannSchubert) -> bool:
     if not grassmann.is_smooth(x):
         raise ValueError(f"{x.w} does not have the smooth column pattern")
     I = levi._max_levi(x.w, x.quotient)
-    return levi.minimal_head(x.quotient, I, x.n) == x.w
+    return levi._minimal_head(x.quotient, I, x.n) == x.w
 
 
 def no_stable_divisor_check(x: GrassmannSchubert) -> bool:

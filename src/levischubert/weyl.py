@@ -22,6 +22,7 @@ freely and dropped into sets.  A public entry checks its input once by the
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from functools import lru_cache
@@ -182,7 +183,10 @@ def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
     >>> position_blocks({1, 3, 4}, 6)
     ((1, 2), (3, 5), (6, 6))
     """
-    J = require_indices(J, n)
+    return _position_blocks(require_indices(J, n), n)
+
+
+def _position_blocks(J: frozenset[int], n: int) -> tuple[tuple[int, int], ...]:
     blocks = []
     lo = 1
     for i in range(1, n):
@@ -218,8 +222,12 @@ def min_coset_rep(w: Perm, J: Iterable[int]) -> Perm:
     >>> min_coset_rep((3, 4, 1, 2), {2})
     (3, 1, 4, 2)
     """
+    return _min_coset_rep(w, require_indices(J, len(w)))
+
+
+def _min_coset_rep(w: Perm, J: frozenset[int]) -> Perm:
     out = list(w)
-    for lo, hi in position_blocks(J, len(w)):
+    for lo, hi in _position_blocks(J, len(w)):
         if hi > lo:
             out[lo - 1:hi] = sorted(out[lo - 1:hi])
     return tuple(out)
@@ -233,8 +241,12 @@ def longest_element(J: Iterable[int], n: int) -> Perm:
     >>> longest_element({1, 3, 4, 5}, 6)
     (2, 1, 6, 5, 4, 3)
     """
+    return _longest_element(require_indices(J, n), n)
+
+
+def _longest_element(J: frozenset[int], n: int) -> Perm:
     out = list(range(1, n + 1))
-    for lo, hi in position_blocks(J, n):
+    for lo, hi in _position_blocks(J, n):
         out[lo - 1:hi] = range(hi, lo - 1, -1)
     return tuple(out)
 
@@ -245,7 +257,7 @@ def _quotient_reps(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     # segments of positions as (is a J-block, size): a J-block must increase,
     # a run of singleton blocks is unconstrained
     segments: list[tuple[bool, int]] = []
-    for lo, hi in position_blocks(J, n):
+    for lo, hi in _position_blocks(J, n):
         if hi > lo:
             segments.append((True, hi - lo + 1))
         elif segments and not segments[-1][0]:
@@ -285,7 +297,7 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
 @lru_cache(maxsize=None)
 def _parabolic_elements(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     _check_rank(n)
-    blocks = position_blocks(J, n)
+    blocks = _position_blocks(J, n)
     out = []
     ranges = [range(lo, hi + 1) for lo, hi in blocks]
     for choice in itertools.product(*[itertools.permutations(r) for r in ranges]):
@@ -328,14 +340,94 @@ def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
     return frozenset(covers)
 
 
+def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
+                  ) -> list[tuple[int, Perm]]:
+    """``(length(t), t)`` for each ``t <= tau`` in ``W^J`` whose Schubert
+    variety is stable under the Levi of ``I``, in lexicographic order of ``t``.
+
+    A walk over ``W^J`` position by position, values increasing inside each
+    position block of ``J``, that places a value only when some completion
+    can still qualify:
+
+    * Bruhat: ``t <= tau`` iff no prefix of ``t`` has more values ``>= j``
+      than the prefix of ``tau`` as long (:func:`bruhat_leq`'s surplus
+      ``diff``).  A value ``a > tau[p]`` uses up one unit of ``diff`` on
+      ``(tau[p], a]``, so once ``a`` reaches the least ``z`` there with
+      ``diff[z] == 0`` every larger value fails as well.
+    * Stability: ``i`` in ``I`` needs ``i + 1`` left of it or in its own
+      block (``levi.max_levi``'s closed form), so after ``i`` comes ``i + 1``
+      unless it is already placed, and a block may not end in such an ``i``.
+    * Room: a block that goes on needs larger unused values to fill it.
+
+    The value placed at a position has as many inversions to its right as
+    there are smaller unused values, which gives the length.  The last value
+    always qualifies once the others do.
+    """
+    n = len(tau)
+    blocks = _position_blocks(J, n)
+    # room[p]: the positions after p in its block; opens[p]: p starts a block
+    room = [hi - p for lo, hi in blocks for p in range(lo, hi + 1)]
+    opens = [p == lo for lo, hi in blocks for p in range(lo, hi + 1)]
+    out: list[tuple[int, Perm]] = []
+    t = [0] * n
+
+    def walk(p: int, rest: Perm, diff: list[int], ell: int) -> None:
+        if p >= n - 1:
+            t[p:] = rest
+            out.append((ell, tuple(t)))
+            return
+        b = tau[p]
+        z = b + 1
+        while z <= n and diff[z]:
+            z += 1
+        start, stop = 0, len(rest) - room[p]
+        if not opens[p]:
+            prev = t[p - 1]
+            start = bisect.bisect(rest, prev)
+            if prev in I and start < stop and rest[start] == prev + 1:
+                stop = start + 1
+        closes = not room[p]
+        for idx in range(start, stop):
+            a = rest[idx]
+            if a >= z:
+                break
+            if closes and a in I and idx + 1 < len(rest) and rest[idx + 1] == a + 1:
+                continue
+            d = diff[:]
+            if a < b:
+                for j in range(a + 1, b + 1):
+                    d[j] += 1
+            else:
+                for j in range(b + 1, a + 1):
+                    d[j] -= 1
+            t[p] = a
+            walk(p + 1, rest[:idx] + rest[idx + 1:], d, ell + idx)
+
+    walk(0, tuple(range(1, n + 1)), [0] * (n + 1), 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rank generating functions
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
+    n = len(w)
+    _check_rank(n)
+    S = support(w)
+    if len(S) < n - 1:
+        # every x <= w lies in W_S, a product of the symmetric groups of the
+        # position blocks of S, and so does its part of W^J; lengths add
+        out: tuple[int, ...] = (1,)
+        for lo, hi in _position_blocks(S, n):
+            if hi > lo:
+                block = tuple(v - lo + 1 for v in w[lo - 1:hi])
+                out = poly_mul(out, _poincare(block, frozenset(
+                    j - lo + 1 for j in J if lo <= j < hi)))
+        return out
     coeffs = [0] * (length(w) + 1)
-    for x in _quotient_reps(len(w), J):
+    for x in _quotient_reps(n, J):
         if bruhat_leq(x, w):
             coeffs[length(x)] += 1
     return tuple(coeffs)
@@ -344,6 +436,15 @@ def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
 def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     """Rank generating function of the lower Bruhat interval of ``w`` in
     ``W^J``: coefficient ``k`` counts the ``x <= w`` of length ``k``.
+
+    When the support of ``w`` misses an index, the interval lies in the
+    parabolic subgroup ``W_S`` of its support ``S``, a product of smaller
+    symmetric groups, one per position block of ``S``.  Its part of
+    ``W^J`` is the product of the quotients of those blocks, with lengths
+    adding, so the polynomial is the product of the blocks' polynomials,
+    each with ``J`` restricted to the block.  Only a ``w`` of full support
+    is tested against every element of ``W^J``.  Ranks above
+    :data:`RANK_LIMIT` are refused either way.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)

@@ -149,7 +149,9 @@ class TestMaximality:
 
     def test_never_enumerates(self, monkeypatch):
         calls = []
-        for name in ("_parabolic_elements", "_quotient_reps", "quotient_reps"):
+        # _poincare checks the rank before it splits or scans
+        for name in ("_parabolic_elements", "_quotient_reps", "quotient_reps",
+                     "_poincare"):
             fn = getattr(weyl, name)
             monkeypatch.setattr(weyl, name,
                                 lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))

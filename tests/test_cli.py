@@ -191,9 +191,10 @@ def misrouted(run_divisors):
 MUTANTS = {
     "head-oracle": (levi, "is_degree1_head", lambda f: lambda x, I: True, 3),
     "divisor-stability": (grassmann, "run_divisors", misrouted, 4),
+    # these sweeps reach the closed form and the checks through the cores,
+    # not the validating entries
     "smooth-unique-head": (
-        levi, "minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
-    # the sweep reaches the checks through the core, not the validating entry
+        levi, "_minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
     "singular-no-stable-divisor": (
         toroidal, "_divisor_checks", lambda f: lambda w, J, I: tuple(
             dataclasses.replace(c, stable=True) for c in f(w, J, I)), 4),
@@ -366,7 +367,7 @@ class TestInternalError:
 
     def test_wrong_minimal_head_exits_four(self, capsys, monkeypatch):
         # the real heads_below, whose self-check rejects a wrong closed form
-        monkeypatch.setattr(levi, "minimal_head", lambda J, I, n: (3, 4, 1, 2))
+        monkeypatch.setattr(levi, "_minimal_head", lambda J, I, n: (3, 4, 1, 2))
         code, out, err = run_cli(
             capsys, "analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2")
         assert (code, out) == (4, "")

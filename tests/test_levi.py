@@ -178,18 +178,30 @@ class TestHeadsBelow:
         assert report(tau, J, I) == oracles.heads_scan(tau, J, I)
 
     def test_bruhat_calls_bounded(self, monkeypatch):
-        # the filter tests each of W^J, the minimum check each head, and the
-        # longest-first boundary each head against the maximal ones kept
+        # the minimum check tests each head, and the longest-first boundary
+        # each head against the maximal ones kept
         calls = []
         fn = weyl.bruhat_leq
         monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: calls.append(1) or fn(u, w))
         got = levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {2})
         assert (len(got.heads), len(got.maximal_proper_heads)) == (2520, 5)
-        assert len(calls) <= 5040 + 2520 * (5 + 1)
+        assert len(calls) <= 2520 * (5 + 1)
+
+    def test_no_element_of_the_quotient_tested_one_by_one(self, monkeypatch):
+        # the heads come from the pruned walk: W^J is not listed, and no
+        # stabilizer or length is computed per element
+        calls = []
+        for module, name in ((weyl, "quotient_reps"), (weyl, "_quotient_reps"),
+                             (weyl, "length"), (levi, "_max_levi")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        got = levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {1, 2, 3, 5, 6})
+        assert len(got.heads) == 35 and calls == []
 
     def test_wrong_closed_form_fails_the_self_check(self, monkeypatch):
         # the closed-form minimal head must lie below every head found
-        monkeypatch.setattr(levi, "minimal_head", lambda J, I, n: (3, 4, 1, 2))
+        monkeypatch.setattr(levi, "_minimal_head", lambda J, I, n: (3, 4, 1, 2))
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
@@ -319,6 +331,17 @@ class TestInputForms:
         # each was answered, or refused with TypeError, before the rule
         with pytest.raises(ValueError, match="must be an integer"):
             call()
+
+    def test_transport_checks_each_index_set_once(self, monkeypatch):
+        # the Levi, and J inside require_quotient; the coset representatives,
+        # longest elements and minimal heads behind it reach the position
+        # blocks through the cores
+        calls = []
+        fn = weyl.require_indices
+        monkeypatch.setattr(weyl, "require_indices",
+                            lambda J, n: calls.append(1) or fn(J, n))
+        bp.nontoroidal_transport((6, 2, 5, 4, 3, 1), (), {1, 3, 4, 5})
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name", ENTRIES)
     def test_validates_each_w_once(self, monkeypatch, name):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import weyl
+from test_toroidal import stabilizer
 
 
 class TestLength:
@@ -279,6 +280,101 @@ class TestPoincare:
     def test_palindromic(self):
         assert weyl.is_palindromic((1, 2, 1))
         assert not weyl.is_palindromic((1, 2, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_interval_count_exhaustively(self, n):
+        for J in subsets(n):
+            for w in oracles.quotient_perms(n, J):
+                assert weyl.poincare_polynomial(w, J) == interval_count(w, J), (w, J)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_support_blocks_at_ranks_6_7(self, data):
+        # w inside a proper W_K, so the product over support blocks runs,
+        # and W^J is scanned only at the smaller ranks of those blocks
+        n = data.draw(st.integers(6, 7), label="n")
+        K = data.draw(st.frozensets(st.integers(1, n - 1), max_size=n - 2), label="K")
+        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(in_parabolic(x, K), J)
+        scanned = []
+        fn = weyl._quotient_reps
+        weyl._poincare.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weyl, "_quotient_reps",
+                       lambda m, L: scanned.append(m) or fn(m, L))
+            got = weyl.poincare_polynomial(w, J)
+        weyl._poincare.cache_clear()
+        assert got == interval_count(w, J)
+        assert all(m < n for m in scanned)
+
+
+def subsets(n):
+    return [frozenset(c) for r in range(n)
+            for c in itertools.combinations(range(1, n), r)]
+
+
+def interval_count(w, J):
+    """The Poincare polynomial of ``w`` in ``W^J`` by brute force: lengths
+    of the subword interval, filtered to ``W^J``."""
+    coeffs = [0] * (oracles.inv_count(w) + 1)
+    for x in oracles.subword_interval(w):
+        if not any(x[j - 1] > x[j] for j in J):
+            coeffs[oracles.inv_count(x)] += 1
+    return tuple(coeffs)
+
+
+def in_parabolic(x, K):
+    """The element of ``W_K`` whose position blocks of ``K`` hold the values
+    of that block in the relative order of ``x`` there."""
+    out = []
+    for block in oracles.position_block_lists(K, len(x)):
+        ranks = sorted(x[p - 1] for p in block)
+        out += [block[0] + ranks.index(x[p - 1]) for p in block]
+    return tuple(out)
+
+
+def stable_below_filter(tau, J, I):
+    """``(length, t)`` for the ``I``-stable ``t <= tau`` in ``W^J``, in lex
+    order: all of ``W^J`` filtered by the rank criterion and the length test."""
+    return [(oracles.inv_count(t), t) for t in oracles.quotient_perms(len(tau), J)
+            if oracles.rank_leq(t, tau) and I <= stabilizer(t, J)]
+
+
+class TestStableBelow:
+    """The pruned walk behind ``levi.heads_below`` against a filter of all
+    of ``W^J``."""
+
+    def test_frozen(self):
+        assert weyl._stable_below((3, 4, 1, 2), frozenset(), frozenset({2})) == [
+            (1, (1, 3, 2, 4)), (2, (1, 3, 4, 2)), (3, (1, 4, 3, 2)),
+            (2, (3, 1, 2, 4)), (3, (3, 1, 4, 2)), (3, (3, 2, 1, 4)),
+            (4, (3, 4, 1, 2))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_filter_exhaustively(self, n):
+        # stable_below_filter, with the rank filter shared by every I
+        for J in subsets(n):
+            reps = oracles.quotient_perms(n, J)
+            for tau in reps:
+                below = [(oracles.inv_count(t), t) for t in reps
+                         if oracles.rank_leq(t, tau)]
+                for I in subsets(n):
+                    assert weyl._stable_below(tau, J, I) == [
+                        (ell, t) for ell, t in below if I <= stabilizer(t, J)], (tau, J, I)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_matches_filter_at_ranks_6_7(self, data):
+        n = data.draw(st.integers(6, 7), label="n")
+        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        tau = weyl.min_coset_rep(tuple(x), J)
+        # half the Levis stabilize tau, so that the head set is rarely empty
+        stable = data.draw(st.booleans(), label="stable")
+        roots = sorted(stabilizer(tau, J)) if stable else []
+        I = data.draw(st.frozensets(st.sampled_from(roots or range(1, n))), label="I")
+        assert weyl._stable_below(tau, J, I) == stable_below_filter(tau, J, I)
 
 
 class TestRankLimit:
