@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from . import weyl
+
 
 @dataclass(frozen=True)
 class CaseFamily:
@@ -60,7 +62,8 @@ _BY_TAG = {f.tag: f for f in FAMILIES}
 
 @dataclass(frozen=True)
 class HorosphericalCase:
-    """A concrete member of one of the three families."""
+    """A concrete member of one of the three families; ``m`` and ``i``
+    become plain ints by :func:`weyl.require_int`."""
 
     tag: str
     m: int
@@ -70,6 +73,10 @@ class HorosphericalCase:
         family = _BY_TAG.get(self.tag)
         if family is None:
             raise ValueError(f"unknown family tag {self.tag!r}")
+        if type(self.m) is not int:
+            object.__setattr__(self, "m", weyl.require_int(self.m, "m"))
+        if self.i is not None and type(self.i) is not int:
+            object.__setattr__(self, "i", weyl.require_int(self.i, "i"))
         if self.m < family.min_m:
             raise ValueError(f"family {self.tag} requires m >= {family.min_m}")
         if not family.needs_i:

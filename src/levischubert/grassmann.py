@@ -3,7 +3,6 @@ divisors by run, and the column pattern characterizing smoothness."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,7 +96,8 @@ def is_smooth(x: GrassmannSchubert) -> bool:
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     """Every element of ``S_n^d``, in column lexicographic order."""
     n = weyl.require_int(n, "rank n")
-    weyl._check_rank(n)
+    weyl._check_rank(n)  # before identity(n), not at _quotient_reps
     d = GrassmannSchubert(d, weyl.identity(n)).d  # refuses d outside 1..n-1
-    for cols in itertools.combinations(range(1, n + 1), d):
-        yield GrassmannSchubert.from_columns(n, d, cols)
+    # S_n^d is W^J for J every index but d; its lex order is column order
+    for w in weyl._quotient_reps(n, frozenset(range(1, n)) - {d}):
+        yield GrassmannSchubert(d, w)

@@ -3,15 +3,14 @@ stability test, degree-1 heads, and head enumeration with its boundary
 (the maximal proper heads).
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
-its complement cuts ``{1..n}`` into consecutive blocks (the position blocks
-of :func:`weyl.position_blocks`, read as sets of values) and the Levi is
-the corresponding block-diagonal subgroup.  A Schubert variety is stable
-under that Levi iff every generator ``s_i`` with ``i in I`` maps it into
-itself, which :func:`max_levi` reads off the positions of ``i, i + 1``;
-:func:`require_stable` is the one guard for operations defined only on
-stable varieties.  A *degree-1 head* below ``tau`` is any ``theta <= tau``
-in ``W^J`` whose Schubert variety is itself Levi-stable; heads detect Levi
-orbits.
+its complement cuts ``{1..n}`` into consecutive blocks (:func:`blocks`)
+and the Levi is the corresponding block-diagonal subgroup.  A Schubert
+variety is stable under that Levi iff every generator ``s_i`` with ``i in
+I`` maps it into itself, which :func:`max_levi` reads off the positions of
+``i, i + 1``; :func:`require_stable` is the one guard for operations
+defined only on stable varieties.  A *degree-1 head* below ``tau`` is any
+``theta <= tau`` in ``W^J`` whose Schubert variety is itself Levi-stable;
+heads detect Levi orbits.
 """
 
 from __future__ import annotations
@@ -129,8 +128,8 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
 
     The heads come from a walk over ``W^J`` that prunes every prefix with
     no head below ``tau`` among its completions (``weyl._stable_below``),
-    so no element of ``W^J`` is tested one by one; ranks above the
-    configured cap are still refused.  The minimal head is
+    so no element of ``W^J`` is tested one by one; that walk refuses ranks
+    above :data:`weyl.RANK_LIMIT`.  The minimal head is
     :func:`minimal_head`, checked to lie below every head.  The maximal
     proper heads are found longest first: a head that is not maximal lies
     below a maximal one, which is longer and so already kept.  With ``H``
@@ -139,7 +138,6 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """
     tau, J = weyl.require_quotient(tau, J)
     I = weyl.require_indices(I, len(tau))
-    weyl._check_rank(len(tau))
     mh = _minimal_head(J, I, len(tau))
     found = [t for _, t in sorted(weyl._stable_below(tau, J, I))]
     if not found:

@@ -175,18 +175,8 @@ def require_indices(J: Iterable[int], n: int) -> frozenset[int]:
     return J
 
 
-def position_blocks(J: Iterable[int], n: int) -> tuple[tuple[int, int], ...]:
-    """Maximal position intervals ``[lo, hi]`` tied together by ``J``.
-
-    Positions ``i`` and ``i + 1`` land in the same interval iff ``i in J``.
-
-    >>> position_blocks({1, 3, 4}, 6)
-    ((1, 2), (3, 5), (6, 6))
-    """
-    return _position_blocks(require_indices(J, n), n)
-
-
 def _position_blocks(J: frozenset[int], n: int) -> tuple[tuple[int, int], ...]:
+    """Maximal position intervals ``[lo, hi]``; ``i, i + 1`` share one iff ``i in J``."""
     blocks = []
     lo = 1
     for i in range(1, n):
@@ -361,9 +351,11 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
 
     The value placed at a position has as many inversions to its right as
     there are smaller unused values, which gives the length.  The last value
-    always qualifies once the others do.
+    always qualifies once the others do.  Ranks above :data:`RANK_LIMIT`
+    are refused.
     """
     n = len(tau)
+    _check_rank(n)
     blocks = _position_blocks(J, n)
     # room[p]: the positions after p in its block; opens[p]: p starts a block
     room = [hi - p for lo, hi in blocks for p in range(lo, hi + 1)]

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from levischubert import grassmann, weyl
 from levischubert.grassmann import GrassmannSchubert
 
@@ -28,6 +31,14 @@ class TestConstruction:
         # refused, not answered with no element
         with pytest.raises(ValueError, match="must satisfy 1 <= d < 4"):
             list(grassmann.all_grassmann(4, d))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_all_grassmann_lists_the_quotient_in_order(self, n):
+        # S_n^d is W^J for J every index but d, filtered out of all of S_n
+        for d in range(1, n):
+            got = [x.w for x in grassmann.all_grassmann(n, d)]
+            assert got == oracles.quotient_perms(n, set(range(1, n)) - {d})
+            assert len(got) == math.comb(n, d)
 
     def test_from_columns_rejects_bad_sets(self):
         with pytest.raises(ValueError):

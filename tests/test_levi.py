@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import bp, grassmann, levi, toroidal, weyl
+from levischubert.classify import HorosphericalCase
 from levischubert.grassmann import GrassmannSchubert
 
 
@@ -259,6 +260,8 @@ INT_ENTRIES = {
     "GrassmannSchubert": (lambda d, w: GrassmannSchubert(d, w).to_json(),
                           (2, (2, 6, 1, 3, 4, 5))),
     "all_grassmann": (lambda n, d: list(grassmann.all_grassmann(n, d)), (5, 2)),
+    # the repr shows whether m and i are kept as given or read as ints
+    "HorosphericalCase": (lambda m, i: repr(HorosphericalCase("b", m, i)), (4, 2)),
 }
 
 

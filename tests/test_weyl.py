@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import weyl
+from levischubert import bp, grassmann, levi, toroidal, weyl
 from test_toroidal import stabilizer
 
 
@@ -377,12 +377,64 @@ class TestStableBelow:
         assert weyl._stable_below(tau, J, I) == stable_below_filter(tau, J, I)
 
 
+W9 = (9, 8, 7, 6, 5, 4, 3, 2, 1)
+W12 = (6, 2, 5, 4, 3, 1, *range(7, 13))
+X12 = grassmann.GrassmannSchubert(3, (2, 6, 9, 1, 3, 4, 5, 7, 8, 10, 11, 12))
+SMOOTH12 = grassmann.GrassmannSchubert(3, (1, 5, 6, *range(2, 5), *range(7, 13)))
+I12 = levi.max_levi(W12)
+IX12 = levi.max_levi(X12.w, X12.quotient)
+
+#: the entries README lists as enumerating, on an instance at rank 9
+CAPPED = {
+    "weyl.quotient_reps": lambda: weyl.quotient_reps(9, set(range(1, 9)) - {4}),
+    "weyl.poincare_polynomial": lambda: weyl.poincare_polynomial(W9),
+    "weyl.poincare_polynomial_split": lambda: weyl.poincare_polynomial(
+        (2, 1, *range(3, 10))),
+    "grassmann.all_grassmann": lambda: list(grassmann.all_grassmann(9, 4)),
+    "levi.heads_below": lambda: levi.heads_below(W9, (), {2}),
+    "bp.poincare_factorizes": lambda: bp.poincare_factorizes(
+        bp.decompose(W9, (), {1, 2, 3})),
+}
+
+#: the entries README lists as running at any rank, on an instance at rank 12
+UNCAPPED = {
+    "weyl.length": lambda: weyl.length(W12),
+    "weyl.reduced_word": lambda: weyl.reduced_word(W12),
+    "weyl.bruhat_leq": lambda: weyl.bruhat_leq(X12.w, W12),
+    "weyl.min_coset_rep": lambda: weyl.min_coset_rep(W12, {1, 3, 4}),
+    "weyl.lower_covers": lambda: weyl.lower_covers(W12, ()),
+    "levi.max_levi": lambda: levi.max_levi(W12),
+    "levi.is_degree1_head": lambda: levi.is_degree1_head(X12, IX12),
+    "levi.minimal_head": lambda: levi.minimal_head((), I12, 12),
+    "grassmann.run_divisors": lambda: grassmann.run_divisors(X12),
+    "toroidal.divisor_checks": lambda: toroidal.divisor_checks(W12, (), I12),
+    "toroidal.toroidal_necessary": lambda: toroidal.toroidal_necessary(X12, IX12),
+    "toroidal.unique_head_check": lambda: toroidal.unique_head_check(SMOOTH12),
+    "toroidal.no_stable_divisor_check": lambda: toroidal.no_stable_divisor_check(X12),
+    "bp.decompose": lambda: bp.decompose(W12, (), {1, 2, 3}),
+    "bp.is_bp_maximality": lambda: bp.is_bp_maximality(bp.decompose(W12, (), {1, 2, 3})),
+    "bp.is_bp_support": lambda: bp.is_bp_support(bp.decompose(W12, (), {1, 2, 3})),
+    "bp.project_divisors": lambda: bp.project_divisors(bp.decompose(W12, (), {1, 2, 3})),
+    "bp.nontoroidal_transport": lambda: bp.nontoroidal_transport(W12, (), I12),
+}
+
+
 class TestRankLimit:
     def test_quotient_reps_capped(self):
         # the cap holds however small W^J is: W^{1..8} has one element
         for J in ((), {1, 3, 5, 7}, range(1, 9)):
             with pytest.raises(weyl.RankLimitError):
                 weyl.quotient_reps(9, J)
+
+    @pytest.mark.parametrize("call", CAPPED.values(), ids=CAPPED.keys())
+    def test_enumerating_entries_capped(self, call):
+        # splitting w by its support does not lift the cap either
+        with pytest.raises(weyl.RankLimitError, match="rank 9 exceeds"):
+            call()
+
+    @pytest.mark.parametrize("call", UNCAPPED.values(), ids=UNCAPPED.keys())
+    def test_polynomial_entries_answer_past_the_cap(self, call):
+        assert call() is not None
 
     def test_limit_is_a_value_error(self):
         assert issubclass(weyl.RankLimitError, ValueError)
