@@ -194,7 +194,7 @@ def nontoroidal_transport(w: Perm, J: Iterable[int], I: Iterable[int]
     for d in range(1, n):
         if d in J:
             continue
-        dec = _decompose(w, J, frozenset(range(1, n)) - {d})
+        dec = _decompose(w, J, weyl._omitting(d, n))
         checks = toroidal._divisor_checks(dec.v, dec.K, I)
         witness = next((c.witness for c in checks
                         if c.criterion == toroidal.VIOLATED), None)

@@ -106,7 +106,8 @@ def codim_at_least_two(case: HorosphericalCase) -> bool:
 
 def iter_cases(max_m: int) -> Iterator[HorosphericalCase]:
     """Every valid parameterization with m up to ``max_m``, family by
-    family in table order."""
+    family in table order; ``max_m`` is read by :func:`weyl.require_int`."""
+    max_m = weyl.require_int(max_m, "max_m")
     for family in FAMILIES:
         for m in range(family.min_m, max_m + 1):
             for i in (range(1, m) if family.needs_i else (None,)):

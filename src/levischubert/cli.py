@@ -3,7 +3,9 @@
 Subcommands: analyze, heads, toroidal, bp, sweep, classify.  Permutations
 are comma-separated one-line notation ("3,4,1,2"); parabolic and Levi sets
 are comma-separated simple-root indices ("1,3,4"); ``--d k`` selects the
-Grassmannian quotient omitting only position k.
+Grassmannian quotient omitting only position k.  The command line only
+turns this text into integers and checks that ``--n`` is positive and that
+``--w`` has ``--n`` entries; the library entries it calls check the rest.
 
 Exit codes: 0 ok, 1 violation found in a verification sweep, 2 usage
 error (a bound that yields no instances included), 3 rank limit exceeded,
@@ -118,31 +120,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, or refused as not ``what``."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"{text!r} is not {what}") from None
+
+
+def _index_set(text: str) -> frozenset[int]:
+    return frozenset(_ints(text, "a comma-separated index set") if text else ())
+
+
 def _parse_w(args) -> tuple[int, weyl.Perm]:
-    n = args.n
-    if n < 1:
+    if args.n < 1:
         raise ValueError("--n must be positive")
-    w = weyl.parse_perm(args.w)
-    if len(w) != n:
-        raise ValueError(f"--w has {len(w)} entries; expected {n}")
-    return n, w
-
-
-def _omitting(d: int, n: int) -> frozenset[int]:
-    """The maximal parabolic omitting ``--d``."""
-    if not 1 <= d < n:
-        raise ValueError(f"--d must lie in 1..{n - 1}")
-    return frozenset(range(1, n)) - {d}
+    w = _ints(args.w, "comma-separated one-line notation")
+    if len(w) != args.n:
+        raise ValueError(f"--w has {len(w)} entries; expected {args.n}")
+    return args.n, w
 
 
 def _parse_instance(args) -> tuple[int, weyl.Perm, frozenset[int], frozenset[int]]:
     n, w = _parse_w(args)
     if args.d is not None:
-        J = _omitting(args.d, n)
+        _, J = weyl.require_descent(args.d, n)
     else:
-        J = weyl.parse_parabolic(args.parabolic, n)
-    # each command's first library call validates w in W^J
-    return n, w, J, weyl.parse_parabolic(args.levi, n)
+        J = _index_set(args.parabolic)
+    # the library entries each command calls check w in W^J and the indices
+    return n, w, J, _index_set(args.levi)
 
 
 def _cmd_analyze(args) -> int:
@@ -174,7 +180,8 @@ def _cmd_heads(args) -> int:
 
 
 def _cmd_toroidal(args) -> int:
-    _, w, _, I = _parse_instance(args)
+    _, w = _parse_w(args)
+    I = _index_set(args.levi)
     x = grassmann.GrassmannSchubert(args.d, w)
     _emit(toroidal.toroidal_necessary(x, I).to_json(), args.format)
     return 0
@@ -182,15 +189,12 @@ def _cmd_toroidal(args) -> int:
 
 def _cmd_bp(args) -> int:
     n, w = _parse_w(args)
-    J = weyl.parse_parabolic(args.parabolic, n)
+    J = _index_set(args.parabolic)
     if args.d is not None:
-        K = _omitting(args.d, n)
-        if args.d in J:
-            raise ValueError("--d must lie outside the finer parabolic")
+        _, K = weyl.require_descent(args.d, n)
     else:
-        K = weyl.parse_parabolic(args.quotient, n)
-    result = bp.decompose(w, J, K)
-    _emit(result.to_json(), args.format)
+        K = _index_set(args.quotient)
+    _emit(bp.decompose(w, J, K).to_json(), args.format)
     return 0
 
 

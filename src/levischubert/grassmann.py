@@ -24,11 +24,9 @@ class GrassmannSchubert:
     w: Perm
 
     def __post_init__(self):
-        object.__setattr__(self, "d", weyl.require_int(self.d, "descent position d"))
-        if not 1 <= self.d < self.n:
-            raise ValueError(f"descent position d={self.d} must satisfy 1 <= d < {self.n}")
-        w, _ = weyl.require_quotient(self.w, self.quotient)
-        object.__setattr__(self, "w", w)
+        d, J = weyl.require_descent(self.d, self.n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "w", weyl.require_quotient(self.w, J)[0])
 
     @property
     def n(self) -> int:
@@ -41,7 +39,7 @@ class GrassmannSchubert:
     @property
     def quotient(self) -> frozenset[int]:
         """The parabolic subset omitting only the descent position."""
-        return frozenset(i for i in range(1, self.n) if i != self.d)
+        return weyl._omitting(self.d, self.n)
 
     @classmethod
     def from_columns(cls, n: int, d: int, columns: Iterable[int]) -> "GrassmannSchubert":
@@ -96,8 +94,8 @@ def is_smooth(x: GrassmannSchubert) -> bool:
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     """Every element of ``S_n^d``, in column lexicographic order."""
     n = weyl.require_int(n, "rank n")
-    weyl._check_rank(n)  # before identity(n), not at _quotient_reps
-    d = GrassmannSchubert(d, weyl.identity(n)).d  # refuses d outside 1..n-1
+    weyl._check_rank(n)  # before Delta - {d} is built from range(1, n)
+    d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
-    for w in weyl._quotient_reps(n, frozenset(range(1, n)) - {d}):
+    for w in weyl._quotient_reps(n, J):
         yield GrassmannSchubert(d, w)

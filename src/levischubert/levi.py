@@ -32,6 +32,7 @@ def blocks(I: Iterable[int], n: int) -> tuple[tuple[int, ...], ...]:
     >>> blocks({1, 3, 4, 7}, 8)
     ((1, 2), (3, 4, 5), (6,), (7, 8))
     """
+    n = weyl.require_rank(n)
     return tuple(tuple(range(lo, hi + 1))
                  for lo, hi in weyl._position_blocks(weyl.require_indices(I, n), n))
 
@@ -160,6 +161,7 @@ def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     >>> minimal_head((), {2}, 4)
     (1, 3, 2, 4)
     """
+    n = weyl.require_rank(n)
     return _minimal_head(weyl.require_indices(J, n), weyl.require_indices(I, n), n)
 
 

@@ -15,9 +15,9 @@ Conventions
   as the permutations with no right descent in ``J``.
 
 All functions are pure and operate on plain tuples, so values can be shared
-freely and dropped into sets.  A public entry checks its input once by the
-``require_*`` checks, which return it as plain ints, and passes it to a core
-(``_lower_covers``, ...) that trusts it; package code calls only cores.
+freely and dropped into sets.  Each input rule is one ``require_*`` check
+that returns what it checked as plain ints; a public entry checks its input
+by them and passes it to a core (``_lower_covers``, ...) that trusts it.
 """
 
 from __future__ import annotations
@@ -165,14 +165,34 @@ def require_int(value: int, what: str) -> int:
     return operator.index(value)
 
 
+def require_rank(n: int) -> int:
+    """``n`` as a plain ``int``, refused unless it is positive."""
+    n = require_int(n, "rank n")
+    if n < 1:
+        raise ValueError(f"rank n={n} must be positive")
+    return n
+
+
 def require_indices(J: Iterable[int], n: int) -> frozenset[int]:
     """``frozenset(J)`` of plain ints, refused unless it lies in ``1..n-1``."""
     J = frozenset(J)
     if J and not (J.issubset(_ROOTS.get(n, ())) and _INT.issuperset(map(type, J))):
-        J = frozenset(require_int(j, "a parabolic index") for j in J)
+        J = frozenset(require_int(j, "a simple-root index") for j in J)
         if min(J) < 1 or max(J) >= n:
-            raise ValueError(f"parabolic indices must lie in 1..{n - 1}")
+            raise ValueError(f"simple-root indices must lie in 1..{n - 1}")
     return J
+
+
+def require_descent(d: int, n: int) -> tuple[int, frozenset[int]]:
+    """``(d, Delta - {d})`` with ``d`` a plain ``int``, refused unless ``1 <= d < n``."""
+    d = require_int(d, "descent position d")
+    if not 1 <= d < n:
+        raise ValueError(f"descent position d={d} must satisfy 1 <= d < {n}")
+    return d, _omitting(d, n)
+
+
+def _omitting(d: int, n: int) -> frozenset[int]:
+    return frozenset(range(1, n)) - {d}
 
 
 def _position_blocks(J: frozenset[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -231,6 +251,7 @@ def longest_element(J: Iterable[int], n: int) -> Perm:
     >>> longest_element({1, 3, 4, 5}, 6)
     (2, 1, 6, 5, 4, 3)
     """
+    n = require_rank(n)
     return _longest_element(require_indices(J, n), n)
 
 
@@ -280,6 +301,7 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
     >>> quotient_reps(3, {1})
     ((1, 2, 3), (1, 3, 2), (2, 3, 1))
     """
+    n = require_rank(n)
     return _quotient_reps(n, require_indices(J, n))
 
 
@@ -456,31 +478,3 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 def is_palindromic(p: Sequence[int]) -> bool:
     return tuple(p) == tuple(reversed(p))
-
-
-# ---------------------------------------------------------------------------
-# wire format
-# ---------------------------------------------------------------------------
-
-def parse_perm(text: str) -> Perm:
-    """Parse comma-separated one-line notation such as ``"3,4,1,2"``."""
-    try:
-        w = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{text!r} is not comma-separated one-line notation")
-    if not is_permutation(w):
-        raise ValueError(f"{text!r} is not a permutation of 1..{len(w)}")
-    return w
-
-
-def parse_parabolic(text: str, n: int) -> frozenset[int]:
-    """Parse comma-separated simple-root indices such as ``"1,3,4"``."""
-    if not text:
-        return frozenset()
-    try:
-        J = frozenset(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{text!r} is not a comma-separated index set")
-    if not J <= set(range(1, n)):
-        raise ValueError(f"indices in {text!r} fall outside 1..{n - 1}")
-    return J

@@ -47,6 +47,63 @@ class TestParsing:
         code, _, err = run_cli(
             capsys, "analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "4")
         assert code == 2
+        assert err == "error: simple-root indices must lie in 1..3\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("3,3,1,2", "(3, 3, 1, 2) is not a permutation"),
+        ("0,1,2,3", "(0, 1, 2, 3) is not a permutation"),
+        ("a,b,c,d", "'a,b,c,d' is not comma-separated one-line notation"),
+        ("1,2,4,5", "(1, 2, 4, 5) is not a permutation"),
+        # refused as text, not measured as zero entries
+        ("", "'' is not comma-separated one-line notation"),
+    ], ids=["3,3,1,2", "0,1,2,3", "a,b,c,d", "1,2,4,5", ""])
+    def test_bad_permutation_text(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "analyze", "--n", "4", "--w", text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("0", "simple-root indices must lie in 1..3"),
+        ("4", "simple-root indices must lie in 1..3"),
+        ("x", "'x' is not a comma-separated index set"),
+        ("1,,2", "'1,,2' is not a comma-separated index set"),
+    ], ids=["0", "4", "x", "1,,2"])
+    @pytest.mark.parametrize("flag", ["--parabolic", "--levi"])
+    def test_bad_index_text(self, capsys, flag, text, message):
+        code, out, err = run_cli(
+            capsys, "analyze", "--n", "4", "--w", "1,2,3,4", flag, text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_round_trip(self, capsys):
+        for w in itertools.permutations(range(1, 5)):
+            code, out, _ = run_cli(
+                capsys, "analyze", "--n", "4", "--w", ",".join(map(str, w)))
+            assert code == 0
+            assert json.loads(out)["w"] == list(w)
+        for text, J in [("", []), ("1", [1]), ("1,3,4", [1, 3, 4]),
+                        ("2,5", [2, 5]), ("1,1,3", [1, 3]), ("3,1", [1, 3])]:
+            code, out, _ = run_cli(capsys, "analyze", "--n", "6", "--w",
+                                   "1,2,3,4,5,6", "--parabolic", text)
+            assert code == 0
+            assert f'"parabolic":{json.dumps(J, separators=(",", ":"))}' in out
+
+    @pytest.mark.parametrize("argv,checks", [
+        (["heads", "--n", "4", "--w", "3,4,1,2", "--levi", "2"], 1),
+        (["bp", "--n", "4", "--w", "1,3,4,2", "--d", "3"], 1),
+        (["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"], 2),
+        (["toroidal", "--n", "4", "--d", "2", "--w", "1,4,2,3", "--levi", "2,3"], 2),
+    ], ids=["heads", "bp", "analyze", "toroidal"])
+    def test_no_value_rule_of_its_own(self, capsys, monkeypatch, argv, checks):
+        # the permutation rule is checked only at the library doors: once
+        # per validating entry a command calls (analyze calls max_levi and
+        # heads_below; toroidal builds a GrassmannSchubert and
+        # toroidal_necessary re-reads its w), never by the parse
+        calls = []
+        fn = weyl.is_permutation
+        monkeypatch.setattr(weyl, "is_permutation",
+                            lambda w: calls.append(w) or fn(w))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == checks
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -171,10 +228,18 @@ class TestBp:
         assert data["bp"] is False
 
     def test_d_must_avoid_parabolic(self, capsys):
+        # bp.decompose refuses J outside K = Delta - {d}
         code, _, err = run_cli(
             capsys, "bp", "--n", "4", "--w", "1,4,2,3",
             "--parabolic", "3", "--d", "3")
         assert code == 2
+        assert err == "error: J=[3] must be contained in K=[1, 2]\n"
+
+    @pytest.mark.parametrize("d", ["0", "4", "-1"])
+    def test_d_out_of_range(self, capsys, d):
+        code, out, err = run_cli(capsys, "bp", "--n", "4", "--w", "1,3,4,2", "--d", d)
+        assert (code, out) == (2, "")
+        assert err == f"error: descent position d={d} must satisfy 1 <= d < 4\n"
 
 
 def misrouted(run_divisors):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import bp, grassmann, levi, toroidal, weyl
+from levischubert import bp, classify, grassmann, levi, toroidal, weyl
 from levischubert.classify import HorosphericalCase
 from levischubert.grassmann import GrassmannSchubert
 
@@ -262,6 +262,19 @@ INT_ENTRIES = {
     "all_grassmann": (lambda n, d: list(grassmann.all_grassmann(n, d)), (5, 2)),
     # the repr shows whether m and i are kept as given or read as ints
     "HorosphericalCase": (lambda m, i: repr(HorosphericalCase("b", m, i)), (4, 2)),
+    "quotient_reps": (weyl.quotient_reps, (4, (1,))),
+    "longest_element": (weyl.longest_element, ((1, 3, 4, 5), 6)),
+    "blocks": (levi.blocks, ((1, 3, 4, 7), 8)),
+    "minimal_head": (levi.minimal_head, ((1,), (2,), 4)),
+    "iter_cases": (lambda max_m: list(classify.iter_cases(max_m)), (5,)),
+}
+
+#: every entry that takes an explicit rank n, called at rank n
+RANK_ENTRIES = {
+    "quotient_reps": lambda n: weyl.quotient_reps(n),
+    "longest_element": lambda n: weyl.longest_element((), n),
+    "blocks": lambda n: levi.blocks((), n),
+    "minimal_head": lambda n: levi.minimal_head((), (), n),
 }
 
 
@@ -317,6 +330,13 @@ class TestInputForms:
             assert not readable and "must be an integer" in str(exc)
         else:
             assert got == entry(*args)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("entry", RANK_ENTRIES.values(), ids=RANK_ENTRIES.keys())
+    def test_rank_must_be_positive(self, entry, n):
+        # no symmetric group has a rank below 1
+        with pytest.raises(ValueError, match=f"rank n={n} must be positive"):
+            entry(n)
 
     @pytest.mark.parametrize("call", [
         lambda: levi.is_stable((1, 2, 3, 4), (), {1.5}),

@@ -439,23 +439,3 @@ class TestRankLimit:
     def test_limit_is_a_value_error(self):
         assert issubclass(weyl.RankLimitError, ValueError)
 
-
-class TestWireFormat:
-    def test_round_trip(self):
-        assert weyl.parse_perm("3,4,1,2") == (3, 4, 1, 2)
-        for w in itertools.permutations(range(1, 5)):
-            assert weyl.parse_perm(",".join(map(str, w))) == w
-        assert weyl.parse_parabolic("1,3,4", 6) == frozenset({1, 3, 4})
-        assert weyl.parse_parabolic("", 6) == frozenset()
-        for J in ({1}, {1, 3, 4}, {2, 5}):
-            assert weyl.parse_parabolic(",".join(map(str, sorted(J))), 6) == J
-
-    @pytest.mark.parametrize("text", ["3,3,1,2", "0,1", "a,b", "1,2,4"])
-    def test_bad_permutations(self, text):
-        with pytest.raises(ValueError):
-            weyl.parse_perm(text)
-
-    @pytest.mark.parametrize("text", ["0", "6", "x"])
-    def test_bad_indices(self, text):
-        with pytest.raises(ValueError):
-            weyl.parse_parabolic(text, 6)
