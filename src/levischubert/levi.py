@@ -15,6 +15,7 @@ heads detect Levi orbits.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -87,17 +88,23 @@ def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
     Levi-stable variety in Gr(d, n) iff its column values meet every Levi
     block in that block's top segment.
 
+    The columns are sorted, so those in a block ``[lo, hi]`` are a slice
+    ``cols[a:b]`` that starts where the previous block's ends and ends at
+    ``bisect(cols, hi)``.  Being distinct values of ``[lo, hi]``, they form
+    its top segment iff the least is ``hi + 1 - (b - a)``.
+
     >>> is_degree1_head(GrassmannSchubert(2, (2, 4, 1, 3)), {1})
     True
     >>> is_degree1_head(GrassmannSchubert(2, (1, 4, 2, 3)), {1})
     False
     """
-    cols = set(x.columns)
-    for lo, hi in weyl._position_blocks(weyl.require_indices(I, x.n), x.n):
-        hit = cols.intersection(range(lo, hi + 1))
-        # k values of [lo, hi] form its top segment iff the least is hi + 1 - k
-        if hit and min(hit) != hi + 1 - len(hit):
+    n, cols = x.n, x.columns  # increasing: GrassmannSchubert keeps w in W^J
+    a = 0
+    for _, hi in weyl._position_blocks(weyl.require_indices(I, n), n):
+        b = bisect.bisect(cols, hi, a)
+        if b > a and cols[a] != hi + 1 - (b - a):
             return False
+        a = b
     return True
 
 

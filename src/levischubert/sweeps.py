@@ -40,14 +40,16 @@ def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
 def head_oracle(max_n: int) -> Iterator[dict]:
     """Block criterion vs the closed form of :func:`levi.max_levi`, over
     every Grassmann permutation and every Levi."""
-    for x in _all_grassmann(max_n):
-        stab = levi._max_levi(x.w, x.quotient)
-        for I in _powerset(range(1, x.n)):
-            yield {
-                "check": "head-oracle", "n": x.n, "d": x.d,
-                "w": list(x.w), "levi": sorted(I),
-                "ok": levi.is_degree1_head(x, I) == (I <= stab),
-            }
+    for n, xs in itertools.groupby(_all_grassmann(max_n), lambda x: x.n):
+        levis = [(I, sorted(I)) for I in _powerset(range(1, n))]
+        for x in xs:
+            stab = levi._max_levi(x.w, x.quotient)
+            for I, listed in levis:
+                yield {
+                    "check": "head-oracle", "n": n, "d": x.d,
+                    "w": list(x.w), "levi": listed[:],
+                    "ok": levi.is_degree1_head(x, I) == (I <= stab),
+                }
 
 
 def divisor_stability(max_n: int) -> Iterator[dict]:

@@ -174,12 +174,17 @@ def require_rank(n: int) -> int:
 
 
 def require_indices(J: Iterable[int], n: int) -> frozenset[int]:
-    """``frozenset(J)`` of plain ints, refused unless it lies in ``1..n-1``."""
+    """``frozenset(J)`` of plain ints, refused unless it lies in ``1..n-1``.
+
+    Any input but a frozenset is read once into a tuple, so that its types
+    are checked before freezing would merge a ``True`` into a ``1``."""
+    if type(J) is not frozenset:
+        J = tuple(J)
+    if not _INT.issuperset(map(type, J)):
+        J = [require_int(j, "a simple-root index") for j in J]
     J = frozenset(J)
-    if J and not (J.issubset(_ROOTS.get(n, ())) and _INT.issuperset(map(type, J))):
-        J = frozenset(require_int(j, "a simple-root index") for j in J)
-        if min(J) < 1 or max(J) >= n:
-            raise ValueError(f"simple-root indices must lie in 1..{n - 1}")
+    if J and not J.issubset(_ROOTS.get(n, ())) and (min(J) < 1 or max(J) >= n):
+        raise ValueError(f"simple-root indices must lie in 1..{n - 1}")
     return J
 
 
@@ -195,6 +200,8 @@ def _omitting(d: int, n: int) -> frozenset[int]:
     return frozenset(range(1, n)) - {d}
 
 
+# bounded, yet every (J, n) with n <= RANK_LIMIT (255 of them) fits
+@lru_cache(maxsize=1024)
 def _position_blocks(J: frozenset[int], n: int) -> tuple[tuple[int, int], ...]:
     """Maximal position intervals ``[lo, hi]``; ``i, i + 1`` share one iff ``i in J``."""
     blocks = []

@@ -79,6 +79,25 @@ def test_corpus_in_any_order(monkeypatch):
         assert unwrapped(invoke(entry["argv"])) == unwrapped(entry)
 
 
+PINS = CORPUS.parent.parent / "bench" / "pins.json"
+
+
+@pytest.mark.parametrize("check", ["head-oracle", "divisor-stability",
+                                   "smooth-unique-head", "singular-no-stable-divisor",
+                                   "smooth-palindromic"])
+def test_grassmannian_sweep_matches_bench_pin(check):
+    # the corpus runs each sweep at a small bound; the benchmark pins the
+    # instance count and stdout digest of the Grassmannian ones at n <= 8
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["sweep", "--check", check, "--max-n", "8"])
+    text = out.getvalue()
+    pin = json.loads(PINS.read_text())["sweeps"][f"{check}@8"]
+    assert code == 0
+    assert json.loads(text.splitlines()[-1])["instances"] == pin["instances"]
+    assert hashlib.sha256(text.encode()).hexdigest() == pin["sha256"]
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
     recorded = [invoke(e["argv"]) for e in ENTRIES]

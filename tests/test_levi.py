@@ -100,7 +100,7 @@ class TestHeadCriterion:
     def test_frozen(self, theta, d, I, expected):
         assert levi.is_degree1_head(GrassmannSchubert(d, theta), I) is expected
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_reflection_test(self, n):
         # the combinatorial block criterion against the geometry-side test
         for d in range(1, n):
@@ -295,12 +295,14 @@ FORMS = {"int": int, "index": Index, "float": float,
 
 def reform(data, value):
     """``value`` with each integer inside it in a drawn form, and whether
-    each is read as the int."""
+    each is read as the int.  A set comes back as a tuple, so that a drawn
+    ``True`` reaches the entry instead of merging with a ``1`` first."""
     if isinstance(value, int):
         form = data.draw(st.sampled_from(sorted(FORMS)), label=f"form of {value}")
         return FORMS[form](value), form in ("int", "index")
     parts = [reform(data, v) for v in value]
-    return type(value)(v for v, _ in parts), all(ok for _, ok in parts)
+    rebuild = tuple if isinstance(value, (set, frozenset)) else type(value)
+    return rebuild(v for v, _ in parts), all(ok for _, ok in parts)
 
 
 #: require_quotient calls of the entries that make other than one
@@ -347,9 +349,13 @@ class TestInputForms:
         lambda: weyl.require_indices({2.0}, 4),
         lambda: levi.max_levi((1, 2, 3), {True}),
         lambda: GrassmannSchubert(2.0, (1, 3, 2)),
+        # a True beside a 1 would merge with it once frozen
+        lambda: weyl.require_indices([1, True], 4),
+        lambda: weyl.require_quotient((1, 2, 3, 4), (1, 2, True)),
     ], ids=["is_stable", "decompose", "require_quotient_bool",
             "require_quotient_float", "require_indices_str",
-            "require_indices_float", "max_levi_bool", "GrassmannSchubert"])
+            "require_indices_float", "max_levi_bool", "GrassmannSchubert",
+            "require_indices_bool_beside_1", "require_quotient_bool_beside_1"])
     def test_non_integer_refused(self, call):
         # each was answered, or refused with TypeError, before the rule
         with pytest.raises(ValueError, match="must be an integer"):

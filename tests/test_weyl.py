@@ -176,6 +176,28 @@ class TestCosetReps:
                     assert got == tuple(sorted(oracles.parabolic_group(J, n)))
 
 
+class TestPositionBlocks:
+    #: every (J, n) with n <= RANK_LIMIT: 2^(n-1) subsets J at each rank n
+    SMALL = [(frozenset(J), n) for n in range(1, weyl.RANK_LIMIT + 1)
+             for r in range(n) for J in itertools.combinations(range(1, n), r)]
+
+    def test_memo_is_bounded_and_holds_every_rank_up_to_the_cap(self):
+        maxsize = weyl._position_blocks.cache_info().maxsize
+        assert len(self.SMALL) == 255
+        assert maxsize is not None and maxsize >= len(self.SMALL)
+
+    def test_against_block_lists_cold_and_warm(self):
+        weyl._position_blocks.cache_clear()
+        for _ in ("cold", "warm"):
+            for J, n in self.SMALL:
+                got = weyl._position_blocks(J, n)
+                assert type(got) is tuple and all(type(b) is tuple for b in got)
+                assert ([list(range(lo, hi + 1)) for lo, hi in got]
+                        == oracles.position_block_lists(J, n))
+        info = weyl._position_blocks.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (255, 255, 255)
+
+
 class TestQuotientReps:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_filter_oracle_in_order(self, n):
