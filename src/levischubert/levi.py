@@ -1,6 +1,6 @@
 """Levi-subgroup actions on Schubert varieties: block partitions, the
-stability test, degree-1 heads, and head enumeration with its boundary
-(the maximal proper heads).
+stability test, degree-1 heads, and head enumeration by one pruned walk
+(``_stable_below``) with its boundary (the maximal proper heads).
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
 its complement cuts ``{1..n}`` into consecutive blocks (:func:`blocks`)
@@ -108,19 +108,90 @@ def is_degree1_head(x: GrassmannSchubert, I: Iterable[int]) -> bool:
     return True
 
 
+def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
+                  ) -> list[tuple[int, Perm]]:
+    """``(length(t), t)`` for each ``t <= tau`` in ``W^J`` whose Schubert
+    variety is stable under the Levi of ``I``, in lexicographic order of ``t``.
+
+    A walk over ``W^J`` position by position, values increasing inside each
+    position block of ``J``, that places a value only when some completion
+    can still qualify:
+
+    * Bruhat: ``t <= tau`` iff no prefix of ``t`` has more values ``>= j``
+      than the prefix of ``tau`` as long (:func:`weyl.bruhat_leq`'s surplus
+      ``diff``).  A value ``a > tau[p]`` uses up one unit of ``diff`` on
+      ``(tau[p], a]``, so once ``a`` reaches the least ``z`` there with
+      ``diff[z] == 0`` every larger value fails as well.
+    * Stability: ``i`` in ``I`` needs ``i + 1`` left of it or in its own
+      block (:func:`max_levi`'s closed form), so after ``i`` comes ``i + 1``
+      unless it is already placed, and a block may not end in such an ``i``.
+    * Room: a block that goes on needs larger unused values to fill it.
+
+    The value placed at a position has as many inversions to its right as
+    there are smaller unused values, which gives the length.  The last value
+    always qualifies once the others do.  Ranks above :data:`weyl.RANK_LIMIT`
+    are refused.
+    """
+    n = len(tau)
+    weyl._check_rank(n)
+    # room[p]: the positions after p in its block
+    room = [hi - p for lo, hi in weyl._position_blocks(J, n)
+            for p in range(lo, hi + 1)]
+    out: list[tuple[int, Perm]] = []
+    t = [0] * n
+
+    def walk(p: int, rest: Perm, diff: list[int], ell: int) -> None:
+        if p >= n - 1:
+            t[p:] = rest
+            out.append((ell, tuple(t)))
+            return
+        b = tau[p]
+        z = b + 1
+        while z <= n and diff[z]:
+            z += 1
+        start, stop = 0, len(rest) - room[p]
+        if p and room[p - 1]:  # p does not start a block
+            prev = t[p - 1]
+            start = bisect.bisect(rest, prev)
+            if prev in I and start < stop and rest[start] == prev + 1:
+                stop = start + 1
+        closes = not room[p]
+        for idx in range(start, stop):
+            a = rest[idx]
+            if a >= z:
+                break
+            if closes and a in I and idx + 1 < len(rest) and rest[idx + 1] == a + 1:
+                continue
+            d = diff[:]
+            if a < b:
+                for j in range(a + 1, b + 1):
+                    d[j] += 1
+            else:
+                for j in range(b + 1, a + 1):
+                    d[j] -= 1
+            t[p] = a
+            walk(p + 1, rest[:idx] + rest[idx + 1:], d, ell + idx)
+
+    walk(0, tuple(range(1, n + 1)), [0] * (n + 1), 0)
+    return out
+
+
 @dataclass(frozen=True)
 class HeadReport:
     """Degree-1 heads below a reference element.
 
-    ``heads`` is sorted by (length, lex).  ``minimal_head`` is their unique
-    Bruhat-minimum, :func:`minimal_head` (None when there is no head);
-    ``maximal_proper_heads`` are the Bruhat-maximal heads strictly below
-    the reference element, in the order of ``heads``: the boundary.
+    ``heads`` is sorted by (length, lex), so their unique Bruhat-minimum
+    ``minimal_head`` (:func:`minimal_head`; None when there is no head) is
+    the first; ``maximal_proper_heads`` are the Bruhat-maximal heads strictly
+    below the reference element, in the order of ``heads``: the boundary.
     """
 
     heads: tuple[Perm, ...]
-    minimal_head: Optional[Perm]
     maximal_proper_heads: tuple[Perm, ...]
+
+    @property
+    def minimal_head(self) -> Optional[Perm]:
+        return self.heads[0] if self.heads else None
 
     def to_json(self) -> dict:
         return {
@@ -135,29 +206,27 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
 
     The heads come from a walk over ``W^J`` that prunes every prefix with
-    no head below ``tau`` among its completions (``weyl._stable_below``),
+    no head below ``tau`` among its completions (:func:`_stable_below`),
     so no element of ``W^J`` is tested one by one; that walk refuses ranks
-    above :data:`weyl.RANK_LIMIT`.  The minimal head is
-    :func:`minimal_head`, checked to lie below every head.  The maximal
-    proper heads are found longest first: a head that is not maximal lies
-    below a maximal one, which is longer and so already kept.  With ``H``
-    the heads and ``M`` the maximal proper ones this makes at most
-    ``|H| * (|M| + 1)`` Bruhat tests.
+    above :data:`weyl.RANK_LIMIT`.  The first head must be
+    :func:`minimal_head` and lie below every head, or ``RuntimeError`` is
+    raised.  The maximal proper heads are found longest first: a head that
+    is not maximal lies below a maximal one, which is longer and so already
+    kept.  With ``H`` the heads and ``M`` the maximal proper ones this
+    makes at most ``|H| * (|M| + 1)`` Bruhat tests.
     """
     tau, J = weyl.require_quotient(tau, J)
     I = weyl.require_indices(I, len(tau))
     mh = _minimal_head(J, I, len(tau))
-    found = [t for _, t in sorted(weyl._stable_below(tau, J, I))]
-    if not found:
-        return HeadReport((), None, ())
-    if any(not weyl.bruhat_leq(mh, h) for h in found):
-        # mh is I-stable in W^J, so below every head it is the least head
+    found = [t for _, t in sorted(_stable_below(tau, J, I))]
+    # mh is I-stable in W^J, so below tau it is the first and least head
+    if found and (found[0] != mh or not all(weyl.bruhat_leq(mh, h) for h in found)):
         raise RuntimeError(f"head set below {tau} has no unique minimum")
     maximal: list[Perm] = []
     for h in reversed(found):
         if h != tau and not any(weyl.bruhat_leq(h, g) for g in maximal):
             maximal.append(h)
-    return HeadReport(tuple(found), mh, tuple(reversed(maximal)))
+    return HeadReport(tuple(found), tuple(reversed(maximal)))
 
 
 def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:

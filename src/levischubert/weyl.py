@@ -18,11 +18,11 @@ All functions are pure and operate on plain tuples, so values can be shared
 freely and dropped into sets.  Each input rule is one ``require_*`` check
 that returns what it checked as plain ints; a public entry checks its input
 by them and passes it to a core (``_lower_covers``, ...) that trusts it.
+It holds no Levi code: head enumeration lives in :mod:`levischubert.levi`.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from functools import lru_cache
@@ -357,75 +357,6 @@ def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
                 if right_descents(t).isdisjoint(J):
                     covers.add(t)
     return frozenset(covers)
-
-
-def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
-                  ) -> list[tuple[int, Perm]]:
-    """``(length(t), t)`` for each ``t <= tau`` in ``W^J`` whose Schubert
-    variety is stable under the Levi of ``I``, in lexicographic order of ``t``.
-
-    A walk over ``W^J`` position by position, values increasing inside each
-    position block of ``J``, that places a value only when some completion
-    can still qualify:
-
-    * Bruhat: ``t <= tau`` iff no prefix of ``t`` has more values ``>= j``
-      than the prefix of ``tau`` as long (:func:`bruhat_leq`'s surplus
-      ``diff``).  A value ``a > tau[p]`` uses up one unit of ``diff`` on
-      ``(tau[p], a]``, so once ``a`` reaches the least ``z`` there with
-      ``diff[z] == 0`` every larger value fails as well.
-    * Stability: ``i`` in ``I`` needs ``i + 1`` left of it or in its own
-      block (``levi.max_levi``'s closed form), so after ``i`` comes ``i + 1``
-      unless it is already placed, and a block may not end in such an ``i``.
-    * Room: a block that goes on needs larger unused values to fill it.
-
-    The value placed at a position has as many inversions to its right as
-    there are smaller unused values, which gives the length.  The last value
-    always qualifies once the others do.  Ranks above :data:`RANK_LIMIT`
-    are refused.
-    """
-    n = len(tau)
-    _check_rank(n)
-    blocks = _position_blocks(J, n)
-    # room[p]: the positions after p in its block; opens[p]: p starts a block
-    room = [hi - p for lo, hi in blocks for p in range(lo, hi + 1)]
-    opens = [p == lo for lo, hi in blocks for p in range(lo, hi + 1)]
-    out: list[tuple[int, Perm]] = []
-    t = [0] * n
-
-    def walk(p: int, rest: Perm, diff: list[int], ell: int) -> None:
-        if p >= n - 1:
-            t[p:] = rest
-            out.append((ell, tuple(t)))
-            return
-        b = tau[p]
-        z = b + 1
-        while z <= n and diff[z]:
-            z += 1
-        start, stop = 0, len(rest) - room[p]
-        if not opens[p]:
-            prev = t[p - 1]
-            start = bisect.bisect(rest, prev)
-            if prev in I and start < stop and rest[start] == prev + 1:
-                stop = start + 1
-        closes = not room[p]
-        for idx in range(start, stop):
-            a = rest[idx]
-            if a >= z:
-                break
-            if closes and a in I and idx + 1 < len(rest) and rest[idx + 1] == a + 1:
-                continue
-            d = diff[:]
-            if a < b:
-                for j in range(a + 1, b + 1):
-                    d[j] += 1
-            else:
-                for j in range(b + 1, a + 1):
-                    d[j] -= 1
-            t[p] = a
-            walk(p + 1, rest[:idx] + rest[idx + 1:], d, ell + idx)
-
-    walk(0, tuple(range(1, n + 1)), [0] * (n + 1), 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from levischubert import bp, classify, grassmann, levi, toroidal, weyl
 from levischubert.classify import HorosphericalCase
 from levischubert.grassmann import GrassmannSchubert
+from test_toroidal import stabilizer
 
 
 def subsets(n):
@@ -125,6 +127,49 @@ class TestHeadCriterion:
         assert levi.is_degree1_head(x, I & stab)
 
 
+def stable_below_filter(tau, J, I):
+    """``(length, t)`` for the ``I``-stable ``t <= tau`` in ``W^J``, in lex
+    order: all of ``W^J`` filtered by the rank criterion and the length test."""
+    return [(oracles.inv_count(t), t) for t in oracles.quotient_perms(len(tau), J)
+            if oracles.rank_leq(t, tau) and I <= stabilizer(t, J)]
+
+
+class TestStableBelow:
+    """The pruned walk behind ``levi.heads_below`` against a filter of all
+    of ``W^J``."""
+
+    def test_frozen(self):
+        assert levi._stable_below((3, 4, 1, 2), frozenset(), frozenset({2})) == [
+            (1, (1, 3, 2, 4)), (2, (1, 3, 4, 2)), (3, (1, 4, 3, 2)),
+            (2, (3, 1, 2, 4)), (3, (3, 1, 4, 2)), (3, (3, 2, 1, 4)),
+            (4, (3, 4, 1, 2))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_filter_exhaustively(self, n):
+        # stable_below_filter, with the rank filter shared by every I
+        for J in subsets(n):
+            reps = oracles.quotient_perms(n, J)
+            for tau in reps:
+                below = [(oracles.inv_count(t), t) for t in reps
+                         if oracles.rank_leq(t, tau)]
+                for I in subsets(n):
+                    assert levi._stable_below(tau, J, I) == [
+                        (ell, t) for ell, t in below if I <= stabilizer(t, J)], (tau, J, I)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_matches_filter_at_ranks_6_7(self, data):
+        n = data.draw(st.integers(6, 7), label="n")
+        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        tau = weyl.min_coset_rep(tuple(x), J)
+        # half the Levis stabilize tau, so that the head set is rarely empty
+        stable = data.draw(st.booleans(), label="stable")
+        roots = sorted(stabilizer(tau, J)) if stable else []
+        I = data.draw(st.frozensets(st.sampled_from(roots or range(1, n))), label="I")
+        assert levi._stable_below(tau, J, I) == stable_below_filter(tau, J, I)
+
+
 class TestHeadsBelow:
     def test_reference_gl4_instance(self):
         report = levi.heads_below((3, 4, 1, 2), (), {2})
@@ -203,6 +248,15 @@ class TestHeadsBelow:
     def test_wrong_closed_form_fails_the_self_check(self, monkeypatch):
         # the closed-form minimal head must lie below every head found
         monkeypatch.setattr(levi, "_minimal_head", lambda J, I, n: (3, 4, 1, 2))
+        with pytest.raises(RuntimeError, match="has no unique minimum"):
+            levi.heads_below((3, 4, 1, 2), (), {2})
+
+    def test_walk_missing_the_minimal_head_fails_the_self_check(self, monkeypatch):
+        # the walk must find the closed-form minimal head first; without
+        # it the other heads still lie above it, so only that check sees it
+        walk = levi._stable_below
+        monkeypatch.setattr(levi, "_stable_below", lambda tau, J, I: [
+            (ell, t) for ell, t in walk(tau, J, I) if t != (1, 3, 2, 4)])
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
@@ -476,3 +530,11 @@ class TestHeadReportJson:
         assert data["minimal_head"] == [1, 3, 2, 4]
         empty = levi.heads_below((2, 1, 3), (), {2})
         assert empty.to_json()["minimal_head"] is None
+
+    def test_minimal_head_is_read_off_the_heads(self):
+        # stored once: the report keeps the heads and the boundary only
+        assert [f.name for f in dataclasses.fields(levi.HeadReport)] == [
+            "heads", "maximal_proper_heads"]
+        report = levi.HeadReport(((1, 3, 2, 4), (3, 4, 1, 2)), ())
+        assert report.minimal_head == (1, 3, 2, 4)
+        assert levi.HeadReport((), ()).minimal_head is None
