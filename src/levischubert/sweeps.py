@@ -29,10 +29,16 @@ def _subset_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
             yield J, J | extra
 
 
+def _ranks(max_n: int) -> range:
+    """The ranks ``2..max_n`` a rank sweep covers; ``max_n`` is read by
+    :func:`weyl.require_int`, so a ``bool``, float or string is refused."""
+    return range(2, weyl.require_int(max_n, "max_n") + 1)
+
+
 def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
     """Every Grassmann permutation of rank 2..max_n, by rank, descent
     position and column set."""
-    for n in range(2, max_n + 1):
+    for n in _ranks(max_n):
         for d in range(1, n):
             yield from grassmann.all_grassmann(n, d)
 
@@ -99,7 +105,7 @@ def singular_no_stable_divisor(max_n: int) -> Iterator[dict]:
 
 def bp_equivalence(max_n: int) -> Iterator[dict]:
     """The three factorization tests agree on every decomposition."""
-    for n in range(2, max_n + 1):
+    for n in _ranks(max_n):
         for J, K in _subset_pairs(n):
             for w in weyl.quotient_reps(n, J):
                 d = bp._decompose(w, J, K)
@@ -117,7 +123,7 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
     """For factoring decompositions of full-flag elements, every divisor
     projects onto the image or onto one of its divisors: none is
     classified ``bp.NEITHER``."""
-    for n in range(2, max_n + 1):
+    for n in _ranks(max_n):
         for w in weyl.quotient_reps(n):
             for K in _powerset(range(1, n)):
                 d = bp._decompose(w, frozenset(), K)

@@ -41,13 +41,6 @@ def multiply(x, y):
     return tuple(x[v - 1] for v in y)
 
 
-def invert(w):
-    out = [0] * len(w)
-    for i, v in enumerate(w):
-        out[v - 1] = i + 1
-    return tuple(out)
-
-
 def bfs_length(w):
     """Graph distance from the identity in the right Cayley graph."""
     n = len(w)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import bp, classify, grassmann, levi, toroidal, weyl
+from levischubert import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 from levischubert.classify import HorosphericalCase
 from levischubert.grassmann import GrassmannSchubert
 from test_toroidal import stabilizer
@@ -321,6 +321,9 @@ INT_ENTRIES = {
     "blocks": (levi.blocks, ((1, 3, 4, 7), 8)),
     "minimal_head": (levi.minimal_head, ((1,), (2,), 4)),
     "iter_cases": (lambda max_m: list(classify.iter_cases(max_m)), (5,)),
+    # every rank sweep yields records at bound 4
+    **{name: (lambda max_n, sweep=sweep: list(sweep(max_n)), (4,))
+       for name, (sweep, _, is_rank) in sweeps.SWEEPS.items() if is_rank},
 }
 
 #: every entry that takes an explicit rank n, called at rank n

@@ -1,6 +1,7 @@
 """The README names entry points as ``module.name`` inside backticks, in
 prose and in its code blocks.  Each must resolve in the package, so a
-deleted or renamed function cannot stay documented."""
+deleted or renamed function cannot stay documented.  Its list of sweep
+names must be the sweep table's, so a new sweep cannot go unlisted."""
 
 import importlib
 import pathlib
@@ -34,3 +35,10 @@ def test_every_named_entry_point_resolves():
     missing = sorted(f"{module}.{dotted}" for module, dotted in names
                      if not resolves(module, dotted))
     assert not missing, missing
+
+
+def test_sweep_names_list_every_sweep():
+    # the "Sweep names:" sentence lists the keys of sweeps.SWEEPS, in order
+    listed = re.search(r"^Sweep names: (.*?)\.$", README.read_text(), re.S | re.M)
+    names = re.findall(r"`([^`]+)`", listed.group(1))
+    assert names == list(importlib.import_module("levischubert.sweeps").SWEEPS)

@@ -78,6 +78,12 @@ class TestBruhat:
                 assert oracles.rank_leq(u, w) == (u in interval), (u, w)
 
 
+class TestCompose:
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            weyl.compose((2, 1), (1, 2, 3))
+
+
 class TestDescentsSupport:
     def test_frozen(self):
         assert weyl.right_descents((1, 2, 3)) == frozenset()
