@@ -208,9 +208,9 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     The heads come from a walk over ``W^J`` that prunes every prefix with
     no head below ``tau`` among its completions (:func:`_stable_below`),
     so no element of ``W^J`` is tested one by one; that walk refuses ranks
-    above :data:`weyl.RANK_LIMIT`.  The first head must be
-    :func:`minimal_head` and lie below every head, or ``RuntimeError`` is
-    raised.  The maximal proper heads are found longest first: a head that
+    above :data:`weyl.RANK_LIMIT`.  There must be heads exactly when
+    :func:`minimal_head` lies below ``tau``, and then the first head must
+    be it and lie below every head, or ``RuntimeError`` is raised.  The maximal proper heads are found longest first: a head that
     is not maximal lies below a maximal one, which is longer and so already
     kept.  With ``H`` the heads and ``M`` the maximal proper ones this
     makes at most ``|H| * (|M| + 1)`` Bruhat tests.
@@ -219,8 +219,10 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     I = weyl.require_indices(I, len(tau))
     mh = _minimal_head(J, I, len(tau))
     found = [t for _, t in sorted(_stable_below(tau, J, I))]
-    # mh is I-stable in W^J, so below tau it is the first and least head
-    if found and (found[0] != mh or not all(weyl.bruhat_leq(mh, h) for h in found)):
+    # mh is I-stable in W^J: there are heads iff it lies below tau, and
+    # then it is the first and least of them
+    if bool(found) != weyl.bruhat_leq(mh, tau) or (found and (
+            found[0] != mh or not all(weyl.bruhat_leq(mh, h) for h in found))):
         raise RuntimeError(f"head set below {tau} has no unique minimum")
     maximal: list[Perm] = []
     for h in reversed(found):

@@ -367,6 +367,11 @@ def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
 def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     n = len(w)
     _check_rank(n)
+    if len(J) == n - 2:
+        # J omits one index d: W^J is Gr(d, n), and w's first d entries
+        # are its sorted columns
+        d = next(i for i in range(1, n) if i not in J)
+        return _grassmann_poincare(w[:d])
     S = support(w)
     if len(S) < n - 1:
         # every x <= w lies in W_S, a product of the symmetric groups of the
@@ -385,23 +390,73 @@ def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _grassmann_poincare(top: Sequence[int]) -> tuple[int, ...]:
+    """Poincare polynomial of the Grassmannian element with sorted columns
+    ``top``: ``sum(q^|mu|)`` over the Young diagrams ``mu`` inside its
+    partition (Fulton, *Young Tableaux*, Sec. 9.4).
+
+    An ``x`` with columns ``c_1 < ... < c_d`` lies below it iff
+    ``c_k <= top[k - 1]`` for every ``k`` (Gale order), and has length
+    ``sum(c_k - k)``.  So with ``a_k = c_k - k`` the polynomial counts the
+    sequences ``0 <= a_1 <= ... <= a_d`` with ``a_k <= top[k - 1] - k`` by
+    their sum.  ``ends[a]`` counts the sequences so far whose last part is
+    ``a``; each column sums it over the parts ``<= a`` and shifts by
+    ``q^a``.  Nothing is enumerated: the cost is polynomial in ``n``.
+
+    >>> _grassmann_poincare((2, 4))
+    (1, 1, 2, 1)
+    """
+    ends: list[list[int]] = [[1]]
+    for k, c in enumerate(top, 1):
+        below: list[int] = []
+        nxt = []
+        for a in range(c - k + 1):
+            if a < len(ends):
+                below = _poly_add(below, ends[a])
+            nxt.append([0] * a + below)
+        ends = nxt
+    total: list[int] = []
+    for p in ends:
+        total = _poly_add(total, p)
+    return tuple(total)
+
+
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = p[:]
+    for i, b in enumerate(q):
+        out[i] += b
+    return out
+
+
 def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     """Rank generating function of the lower Bruhat interval of ``w`` in
     ``W^J``: coefficient ``k`` counts the ``x <= w`` of length ``k``.
 
-    When the support of ``w`` misses an index, the interval lies in the
-    parabolic subgroup ``W_S`` of its support ``S``, a product of smaller
-    symmetric groups, one per position block of ``S``.  Its part of
-    ``W^J`` is the product of the quotients of those blocks, with lengths
-    adding, so the polynomial is the product of the blocks' polynomials,
-    each with ``J`` restricted to the block.  Only a ``w`` of full support
-    is tested against every element of ``W^J``.  Ranks above
-    :data:`RANK_LIMIT` are refused either way.
+    When ``J`` omits one index ``d``, ``W^J`` indexes the Schubert
+    varieties of the Grassmannian ``Gr(d, n)``: the interval is the set of
+    Young diagrams inside the partition of ``w``, and the polynomial is a
+    count of column sequences (:func:`_grassmann_poincare`) that
+    enumerates nothing.  Otherwise, when the support of ``w`` misses an
+    index, the interval lies in the parabolic subgroup ``W_S`` of its
+    support ``S``, a product of smaller symmetric groups, one per position
+    block of ``S``.  Its part of ``W^J`` is the product of the quotients
+    of those blocks, with lengths adding, so the polynomial is the product
+    of the blocks' polynomials, each with ``J`` restricted to the block.
+    Only a ``w`` of full support is tested against every element of
+    ``W^J``.  Ranks above :data:`RANK_LIMIT` are refused on every path.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)
     >>> poincare_polynomial((2, 3, 1), {1})
     (1, 1, 1)
+
+    In ``Gr(2, 4)``, ``(2, 4, 1, 3)`` has columns ``{2, 4}`` and partition
+    ``(2, 1)``; the diagrams inside it have sizes 0, 1, 2, 2 and 3:
+
+    >>> poincare_polynomial((2, 4, 1, 3), {1, 3})
+    (1, 1, 2, 1)
     """
     return _poincare(*require_quotient(w, J))
 

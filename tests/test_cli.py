@@ -286,6 +286,24 @@ class TestSweep:
                            "violations": sum(not r["ok"] for r in records)}
         assert summary["violations"] > 0
 
+    def test_smooth_palindromic_sees_a_wrong_count(self, capsys, monkeypatch):
+        # MUTANTS breaks the smooth side; this breaks the palindromic one,
+        # the Young-diagram count, by one more diagram of the largest size
+        count = weyl._grassmann_poincare
+        monkeypatch.setattr(weyl, "_grassmann_poincare",
+                            lambda top: (*count(top)[:-1], count(top)[-1] + 1))
+        weyl._poincare.cache_clear()
+        try:
+            code, out, _ = run_cli(
+                capsys, "sweep", "--check", "smooth-palindromic", "--max-n", "4")
+        finally:
+            weyl._poincare.cache_clear()
+        *records, summary = json_lines(out)
+        assert code == 1
+        assert summary == {"check": "smooth-palindromic", "instances": len(records),
+                           "violations": sum(not r["ok"] for r in records)}
+        assert summary["violations"] > 0
+
     def test_head_oracle_summary(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--check", "head-oracle", "--max-n", "4",
