@@ -210,8 +210,9 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     so no element of ``W^J`` is tested one by one; that walk refuses ranks
     above :data:`weyl.RANK_LIMIT`.  There must be heads exactly when
     :func:`minimal_head` lies below ``tau``, and then the first head must
-    be it and lie below every head, or ``RuntimeError`` is raised.  The maximal proper heads are found longest first: a head that
-    is not maximal lies below a maximal one, which is longer and so already
+    be it and lie below every head, or ``RuntimeError`` is raised.  The
+    maximal proper heads are found longest first: a head that is not
+    maximal lies below a maximal one, which is longer and so already
     kept.  With ``H`` the heads and ``M`` the maximal proper ones this
     makes at most ``|H| * (|M| + 1)`` Bruhat tests.
     """

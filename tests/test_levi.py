@@ -266,12 +266,6 @@ class TestHeadsBelow:
         with pytest.raises(RuntimeError, match="has no unique minimum"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
-    def test_no_heads_when_the_minimal_head_is_not_below(self):
-        # s_2 = (1, 3, 2, 4) is not below (2, 1, 3, 4): an empty report
-        assert not weyl.bruhat_leq(levi.minimal_head((), {2}, 4), (2, 1, 3, 4))
-        report = levi.heads_below((2, 1, 3, 4), (), {2})
-        assert report.heads == () and report.minimal_head is None
-
     def test_levi_index_out_of_range(self):
         # refused, not answered with no heads
         with pytest.raises(ValueError, match=r"must lie in 1\.\.2"):
