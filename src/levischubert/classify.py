@@ -106,9 +106,19 @@ def codim_at_least_two(case: HorosphericalCase) -> bool:
 
 def iter_cases(max_m: int) -> Iterator[HorosphericalCase]:
     """Every valid parameterization with m up to ``max_m``, family by
-    family in table order; ``max_m`` is read by :func:`weyl.require_int`."""
+    family in table order; ``max_m`` is read by :func:`weyl.require_int`.
+
+    The cases are built unchecked: the loop takes ``m >= min_m`` and ``i``
+    in ``1..m-1`` (or ``None``) from :data:`FAMILIES`, so every rule of
+    ``HorosphericalCase.__post_init__`` already holds.  Each case still
+    equals, hashes like and is as frozen as ``HorosphericalCase(tag, m, i)``.
+    """
     max_m = weyl.require_int(max_m, "max_m")
     for family in FAMILIES:
+        tag = family.tag
         for m in range(family.min_m, max_m + 1):
             for i in (range(1, m) if family.needs_i else (None,)):
-                yield HorosphericalCase(family.tag, m, i)
+                case = object.__new__(HorosphericalCase)
+                fields = case.__dict__
+                fields["tag"], fields["m"], fields["i"] = tag, m, i
+                yield case

@@ -92,10 +92,18 @@ def is_smooth(x: GrassmannSchubert) -> bool:
 
 
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
-    """Every element of ``S_n^d``, in column lexicographic order."""
+    """Every element of ``S_n^d``, in column lexicographic order.
+
+    ``n`` and ``d`` are checked once; each value is then built unchecked
+    from ``weyl._quotient_reps``, whose every ``w`` is in ``W^J``, and
+    equals ``GrassmannSchubert(d, w)``.
+    """
     n = weyl.require_int(n, "rank n")
     weyl._check_rank(n)  # before Delta - {d} is built from range(1, n)
     d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
     for w in weyl._quotient_reps(n, J):
-        yield GrassmannSchubert(d, w)
+        x = object.__new__(GrassmannSchubert)
+        fields = x.__dict__
+        fields["d"], fields["w"] = d, w
+        yield x

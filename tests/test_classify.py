@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from levischubert import classify
@@ -38,6 +40,56 @@ class TestCases:
         assert {c.tag for c in cases} == {"a", "b", "c"}
         b_cases = [(c.m, c.i) for c in cases if c.tag == "b"]
         assert (3, 1) in b_cases and (3, 3) not in b_cases
+
+
+class TestUncheckedCases:
+    """``iter_cases`` builds its cases without ``__post_init__``; each must
+    be the case the validating constructor builds."""
+
+    @staticmethod
+    def validated(max_m):
+        # (tag, least m, takes i) as in Pasquier's table, not read from FAMILIES
+        for tag, min_m, needs_i in (("a", 2, False), ("b", 3, True), ("c", 4, False)):
+            for m in range(min_m, max_m + 1):
+                for i in (range(1, m) if needs_i else (None,)):
+                    yield HorosphericalCase(tag, m, i)
+
+    def test_same_as_validated_constructions(self):
+        got, want = list(classify.iter_cases(60)), list(self.validated(60))
+        assert len(got) == len(want) == 59 + 1769 + 57
+        for case, expected in zip(got, want):
+            assert type(case) is HorosphericalCase
+            assert case.__dict__ == expected.__dict__
+            assert list(case.__dict__) == ["tag", "m", "i"]
+            assert case == expected and hash(case) == hash(expected)
+            assert type(case.m) is int and type(case.i) in (int, type(None))
+
+    def test_frozen(self):
+        case = next(classify.iter_cases(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.m = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.i = 1
+        assert case == HorosphericalCase("a", 2)
+
+    def test_skips_the_validation(self, monkeypatch):
+        calls = []
+        fn = HorosphericalCase.__post_init__
+        monkeypatch.setattr(HorosphericalCase, "__post_init__",
+                            lambda self: calls.append(1) or fn(self))
+        assert len(list(classify.iter_cases(50))) == 49 + 1224 + 47
+        assert calls == []
+        HorosphericalCase("b", 4, 2)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("tag,m,i", [("b", 4, 2.5), ("a", 2.0, None), ("b", True, 1)])
+    def test_public_constructor_keeps_its_checks(self, tag, m, i):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HorosphericalCase(tag, m, i)
+
+    def test_max_m_still_checked(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            list(classify.iter_cases(5.5))
 
 
 class TestDimensions:

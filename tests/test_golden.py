@@ -79,23 +79,47 @@ def test_corpus_in_any_order(monkeypatch):
         assert unwrapped(invoke(entry["argv"])) == unwrapped(entry)
 
 
-PINS = CORPUS.parent.parent / "bench" / "pins.json"
+PINS = json.loads((CORPUS.parent.parent / "bench" / "pins.json").read_text())["sweeps"]
+#: each sweep the benchmark runs, at its full-size bound: the larger of its
+#: two pins (the other is the smoke size)
+FULL_SIZE = {}
+for key in PINS:
+    check, bound = key.rsplit("@", 1)
+    FULL_SIZE[check] = max(FULL_SIZE.get(check, 0), int(bound))
+GRASSMANNIAN = ["head-oracle", "divisor-stability", "smooth-unique-head",
+                "singular-no-stable-divisor", "smooth-palindromic"]
 
 
-@pytest.mark.parametrize("check", ["head-oracle", "divisor-stability",
-                                   "smooth-unique-head", "singular-no-stable-divisor",
-                                   "smooth-palindromic"])
-def test_grassmannian_sweep_matches_bench_pin(check):
+def assert_matches_bench_pin(check):
     # the corpus runs each sweep at a small bound; the benchmark pins the
-    # instance count and stdout digest of the Grassmannian ones at n <= 8
+    # instance count and stdout digest of each at its full size
+    bound = FULL_SIZE[check]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["sweep", "--check", check, "--max-n", "8"])
+        code = cli.main(["sweep", "--check", check, "--max-n", str(bound)])
     text = out.getvalue()
-    pin = json.loads(PINS.read_text())["sweeps"][f"{check}@8"]
+    pin = PINS[f"{check}@{bound}"]
     assert code == 0
-    assert json.loads(text.splitlines()[-1])["instances"] == pin["instances"]
+    assert json.loads(text.rsplit("\n", 2)[-2])["instances"] == pin["instances"]
     assert hashlib.sha256(text.encode()).hexdigest() == pin["sha256"]
+
+
+@pytest.mark.parametrize("check", GRASSMANNIAN)
+def test_grassmannian_sweep_matches_bench_pin(check):
+    assert_matches_bench_pin(check)
+
+
+@pytest.mark.parametrize("check", sorted(set(FULL_SIZE) - set(GRASSMANNIAN)))
+def test_sweep_matches_bench_pin(check):
+    assert_matches_bench_pin(check)
+
+
+def test_full_size_bounds():
+    # bench/run.py's SWEEP_WORKLOADS at full size
+    assert sorted(f"{c}@{b}" for c, b in FULL_SIZE.items()) == [
+        "bp-equivalence@5", "classify-codim@1000", "divisor-stability@8",
+        "head-oracle@8", "projection-dichotomy@5", "singular-no-stable-divisor@8",
+        "smooth-palindromic@8", "smooth-unique-head@8"]
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -39,6 +40,30 @@ class TestConstruction:
             got = [x.w for x in grassmann.all_grassmann(n, d)]
             assert got == oracles.quotient_perms(n, set(range(1, n)) - {d})
             assert len(got) == math.comb(n, d)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_all_grassmann_equals_validated_constructions(self, n):
+        # each value is built unchecked from weyl._quotient_reps
+        for d in range(1, n):
+            for x in grassmann.all_grassmann(n, d):
+                expected = GrassmannSchubert(d, x.w)
+                assert x.__dict__ == expected.__dict__
+                assert list(x.__dict__) == ["d", "w"]
+                assert x == expected and hash(x) == hash(expected)
+                assert type(x.d) is int and type(x.w) is tuple
+
+    def test_all_grassmann_skips_the_validation(self, monkeypatch):
+        calls = []
+        fn = GrassmannSchubert.__post_init__
+        monkeypatch.setattr(GrassmannSchubert, "__post_init__",
+                            lambda self: calls.append(1) or fn(self))
+        xs = list(grassmann.all_grassmann(6, 3))
+        assert len(xs) == 20 and calls == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            xs[0].d = 2
+        with pytest.raises(ValueError):
+            GrassmannSchubert(3, (1, 4, 2, 3, 5, 6))
+        assert calls == [1]
 
     def test_from_columns_rejects_bad_sets(self):
         with pytest.raises(ValueError):
