@@ -81,11 +81,9 @@ def test_corpus_in_any_order(monkeypatch):
 
 PINS = json.loads((CORPUS.parent.parent / "bench" / "pins.json").read_text())["sweeps"]
 #: each sweep the benchmark runs, at its full-size bound: the larger of its
-#: two pins (the other is the smoke size)
-FULL_SIZE = {}
-for key in PINS:
-    check, bound = key.rsplit("@", 1)
-    FULL_SIZE[check] = max(FULL_SIZE.get(check, 0), int(bound))
+#: two pins (the other is the smoke size), so the later one in bound order
+FULL_SIZE = {check: int(bound) for check, bound in
+             sorted((key.rsplit("@", 1) for key in PINS), key=lambda cb: int(cb[1]))}
 GRASSMANNIAN = ["head-oracle", "divisor-stability", "smooth-unique-head",
                 "singular-no-stable-divisor", "smooth-palindromic"]
 
@@ -109,17 +107,10 @@ def test_grassmannian_sweep_matches_bench_pin(check):
     assert_matches_bench_pin(check)
 
 
-@pytest.mark.parametrize("check", sorted(set(FULL_SIZE) - set(GRASSMANNIAN)))
+@pytest.mark.parametrize("check", sorted(set(FULL_SIZE) - set(GRASSMANNIAN)),
+                         ids=lambda check: f"{check}@{FULL_SIZE[check]}")
 def test_sweep_matches_bench_pin(check):
     assert_matches_bench_pin(check)
-
-
-def test_full_size_bounds():
-    # bench/run.py's SWEEP_WORKLOADS at full size
-    assert sorted(f"{c}@{b}" for c, b in FULL_SIZE.items()) == [
-        "bp-equivalence@5", "classify-codim@1000", "divisor-stability@8",
-        "head-oracle@8", "projection-dichotomy@5", "singular-no-stable-divisor@8",
-        "smooth-palindromic@8", "smooth-unique-head@8"]
 
 
 if __name__ == "__main__":
