@@ -91,9 +91,18 @@ def is_bp_maximality(d: BPDecomposition) -> bool:
 def is_bp_support(d: BPDecomposition) -> bool:
     """Support characterization: every index of ``K`` supporting ``v`` is a
     left descent of the longest element ``u * w0(J)`` of the coset
-    ``u * W_J``.  Polynomial, so it is the production test."""
-    u_top = weyl.compose(d.u, weyl._longest_element(d.J, len(d.w)))
-    return (weyl.support(d.v) & d.K) <= weyl.left_descents(u_top)
+    ``u * W_J``.  Polynomial, so it is the production test.
+
+    Those left descents are ``levi.max_levi(u, J)``, so the test is the
+    closed form ``support(v) & K <= max_levi(u, J)``.  ``w0(J)`` reverses
+    each position block of ``J`` and ``u`` in ``W^J`` increases on each
+    block, so ``i`` is a left descent of ``u * w0(J)`` exactly when
+    ``i + 1`` stands left of ``i`` in ``u`` or the two sit in one block.
+    Geometrically: the decomposition factors iff the Levi of
+    ``support(v) & K`` stabilizes the Schubert variety of ``u`` in the
+    quotient by ``J``.
+    """
+    return (weyl.support(d.v) & d.K) <= levi._max_levi(d.u, d.J)
 
 
 def poincare_factorizes(d: BPDecomposition) -> bool:

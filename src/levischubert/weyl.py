@@ -55,15 +55,15 @@ def is_permutation(seq: Sequence[int]) -> bool:
 
 
 def length(w: Perm) -> int:
-    """Number of inversions, which is the Coxeter length.
+    """Number of inversions, which is the Coxeter length: the pairs of
+    positions ``i < j`` with ``w(i) > w(j)``, counted in C.
 
     >>> length((1, 2, 3, 4))
     0
     >>> length((3, 4, 1, 2))
     4
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(w, 2)))
 
 
 def inverse(w: Perm) -> Perm:
