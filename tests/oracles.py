@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: lengths come from BFS
 or double loops, Bruhat comparisons from subwords of a reduced word or from
 rank counts, coset representatives from enumerating the arrangements of
 each position block, the Billey-Postnikov maximality from scans over whole
-parabolic subgroups, the Levi stabilizer from coset lengths, and the
-degree-1 heads from scans of the subword interval.
+parabolic subgroups, the Levi stabilizer from coset lengths, left
+descents from the inversion counts of value swaps, and the degree-1 heads
+from scans of the subword interval.
 """
 
 from __future__ import annotations
@@ -130,6 +131,37 @@ def coset_min(w, J):
         for p, v in zip(block, least):
             out[p - 1] = v
     return tuple(out)
+
+
+def block_reversal(J, n):
+    """The longest element of W_J written down, not searched for: each
+    position block reversed.  Nothing is enumerated, so it serves any rank."""
+    out = [0] * n
+    for block in position_block_lists(J, n):
+        for p, v in zip(block, reversed(block)):
+            out[p - 1] = v
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def left_descents_by_length(w):
+    """Indices i with s_i * w shorter than w: swapping the values i, i + 1
+    lowers the inversion count."""
+    lw = inv_count(w)
+    return frozenset(i for i in range(1, len(w))
+                     if inv_count(swap_values(w, i)) < lw)
+
+
+def bp_support_by_descents(v, u, J, K):
+    """The support test as defined: every index of K in a reduced word of v
+    is a left descent of u * w0(J), the longest element of the coset u W_J."""
+    top = multiply(u, block_reversal(J, len(u)))
+    return _letters(v) & frozenset(K) <= left_descents_by_length(top)
+
+
+@lru_cache(maxsize=None)
+def _letters(w):
+    return frozenset(a_reduced_word(w))
 
 
 def coset_longest(J, n):

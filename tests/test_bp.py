@@ -167,6 +167,47 @@ class TestMaximality:
         assert calls
 
 
+class TestSupport:
+    """The closed form ``support(v) & K <= max_levi(u, J)`` against the
+    definition: left descents of the product ``u * w0(J)``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_definition_exhaustively(self, n):
+        for J, K in subset_pairs(n):
+            for w in oracles.quotient_perms(n, J):
+                d = bp.decompose(w, J, K)
+                assert bp.is_bp_support(d) == \
+                    oracles.bp_support_by_descents(d.v, d.u, J, K), (w, J, K)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_definition_above_the_cap(self, data):
+        # w0(J) is written down block by block, so neither side enumerates
+        d = random_decomposition(data, 9, 14)
+        assert bp.is_bp_support(d) == \
+            oracles.bp_support_by_descents(d.v, d.u, d.J, d.K)
+
+    def test_builds_no_product(self, monkeypatch):
+        decompositions = [bp.decompose(w, J, K) for n in (1, 2, 3, 4)
+                          for J, K in subset_pairs(n)
+                          for w in weyl.quotient_reps(n, J)]
+        calls = []
+        for name in ("compose", "inverse", "_longest_element", "left_descents"):
+            fn = getattr(weyl, name)
+            monkeypatch.setattr(weyl, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        levi._max_levi.cache_clear()
+        for d in decompositions:
+            bp.is_bp_support(d)
+        # cold, the only call is the inverse that max_levi reads positions
+        # from, once per (u, J) it has not seen
+        assert calls == ["inverse"] * len({(d.u, d.J) for d in decompositions})
+        calls.clear()
+        for d in decompositions:
+            bp.is_bp_support(d)
+        assert calls == []
+
+
 def projections(d):
     """``project_divisors`` keyed by divisor: tau -> (image, kind)."""
     return {tau: (image, kind) for tau, image, kind in bp.project_divisors(d)}

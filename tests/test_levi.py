@@ -74,6 +74,16 @@ class TestMaxLevi:
             assert levi.max_levi(w) == weyl.left_descents(w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_is_left_descents_of_the_coset_top(self, n):
+        # the lemma behind bp.is_bp_support: for u in W^J the stabilizer is
+        # the left descent set of the longest element u * w0(J) of u W_J
+        for J in subsets(n):
+            top = oracles.block_reversal(J, n)
+            for u in oracles.quotient_perms(n, J):
+                assert levi.max_levi(u, J) == \
+                    oracles.left_descents_by_length(oracles.multiply(u, top)), (u, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_length_test_exhaustively(self, n):
         # the closed form against the coset-representative length test
         for J in subsets(n):

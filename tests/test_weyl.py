@@ -12,6 +12,8 @@ class TestLength:
         ((1, 2, 3, 4), 0),
         ((3, 4, 1, 2), 4),
         ((3, 2, 1), 3),
+        ((), 0),
+        ((1,), 0),
     ])
     def test_frozen(self, w, expected):
         assert weyl.length(w) == expected
@@ -19,6 +21,13 @@ class TestLength:
     def test_matches_cayley_distance(self):
         for w in itertools.permutations(range(1, 5)):
             assert weyl.length(w) == oracles.bfs_length(w)
+
+    @settings(max_examples=200)
+    @given(st.integers(9, 16).flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+    def test_matches_inversion_count_above_the_cap(self, w):
+        # length enumerates nothing, so it answers at any rank
+        assert weyl.length(w) == oracles.inv_count(w)
 
 
 class TestBruhat:
