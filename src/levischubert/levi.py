@@ -61,17 +61,6 @@ def max_levi(w: Perm, J: Iterable[int] = ()) -> frozenset[int]:
     return _max_levi(*weyl.require_quotient(w, J))
 
 
-def is_stable(theta: Perm, J: Iterable[int], I: Iterable[int]) -> bool:
-    """True iff the Schubert variety of ``theta`` in the quotient by ``J``
-    is stable under the Levi with simple roots ``I``.
-
-    The identity is ``I``-stable iff ``I`` is contained in ``J``: its
-    variety is the base point, fixed only by the parabolic of ``J``.
-    """
-    I = weyl.require_indices(I, len(theta))
-    return I <= _max_levi(*weyl.require_quotient(theta, J))
-
-
 def require_stable(w: Perm, J: Iterable[int], I: Iterable[int]
                    ) -> tuple[Perm, frozenset[int], frozenset[int]]:
     """``(w, J, I)`` as the ``weyl`` checks return them, refused unless the
@@ -235,10 +224,12 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
 def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     """The unique minimal Levi-stable element: the coset representative of
     the longest element of ``W_I``.  Its variety is the Levi orbit through
-    the base point.
+    the base point.  For ``J`` empty it is the longest element of ``W_I``.
 
     >>> minimal_head((), {2}, 4)
     (1, 3, 2, 4)
+    >>> minimal_head((), {1, 3, 4, 5}, 6)
+    (2, 1, 6, 5, 4, 3)
     """
     n = weyl.require_rank(n)
     return _minimal_head(weyl.require_indices(J, n), weyl.require_indices(I, n), n)

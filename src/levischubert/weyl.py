@@ -84,10 +84,6 @@ def right_descents(w: Perm) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
-def left_descents(w: Perm) -> frozenset[int]:
-    return right_descents(inverse(w))
-
-
 def support(w: Perm) -> frozenset[int]:
     """Indices ``i`` with ``s_i <= w``: the letters of every reduced word.
 
@@ -250,19 +246,8 @@ def _min_coset_rep(w: Perm, J: frozenset[int]) -> Perm:
     return tuple(out)
 
 
-def longest_element(J: Iterable[int], n: int) -> Perm:
-    """Longest element of ``W_J``: each position block reversed.
-
-    >>> longest_element({1, 2}, 3)
-    (3, 2, 1)
-    >>> longest_element({1, 3, 4, 5}, 6)
-    (2, 1, 6, 5, 4, 3)
-    """
-    n = require_rank(n)
-    return _longest_element(require_indices(J, n), n)
-
-
 def _longest_element(J: frozenset[int], n: int) -> Perm:
+    """Longest element of ``W_J``: each position block reversed."""
     out = list(range(1, n + 1))
     for lo, hi in _position_blocks(J, n):
         out[lo - 1:hi] = range(hi, lo - 1, -1)

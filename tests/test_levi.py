@@ -38,29 +38,6 @@ class TestBlocks:
             levi.blocks({4}, 4)
 
 
-class TestStability:
-    def test_frozen(self):
-        assert levi.is_stable((3, 4, 1, 2), (), {2})
-        assert not levi.is_stable((2, 4, 1, 3), (), {2})
-
-    def test_identity_stable_iff_contained(self):
-        # the base point is fixed by the parabolic of J and nothing more
-        for n in range(2, 6):
-            for J in subsets(n):
-                for I in subsets(n):
-                    assert levi.is_stable(weyl.identity(n), J, I) == (I <= J)
-
-    def test_rejects_non_representative(self):
-        with pytest.raises(ValueError):
-            levi.is_stable((2, 1, 3), {1}, {2})
-
-    def test_stability_is_elementwise(self):
-        for w in itertools.permutations(range(1, 6)):
-            stab = levi.max_levi(w)
-            for I in subsets(5):
-                assert levi.is_stable(w, (), I) == (I <= stab)
-
-
 class TestMaxLevi:
     def test_frozen(self):
         assert levi.max_levi((3, 4, 1, 2)) == frozenset({2})
@@ -68,10 +45,25 @@ class TestMaxLevi:
         x = grassmann.GrassmannSchubert(2, (3, 4, 1, 2, 5))
         assert levi.max_levi(x.w, x.quotient) == frozenset({1, 2, 3})
 
+    def test_stability_frozen(self):
+        # a variety is stable under the Levi of I iff I <= max_levi
+        assert {2} <= levi.max_levi((3, 4, 1, 2))
+        assert not {2} <= levi.max_levi((2, 4, 1, 3))
+
+    def test_identity_stable_iff_contained(self):
+        # the base point is fixed by the parabolic of J and nothing more
+        for n in range(1, 6):
+            for J in subsets(n):
+                assert levi.max_levi(weyl.identity(n), J) == J
+
+    def test_rejects_non_representative(self):
+        with pytest.raises(ValueError):
+            levi.max_levi((2, 1, 3), {1})
+
     def test_full_flag_is_left_descents(self):
         # with no quotient the reflection test reduces to left descents
         for w in itertools.permutations(range(1, 6)):
-            assert levi.max_levi(w) == weyl.left_descents(w)
+            assert levi.max_levi(w) == oracles.left_descents_by_length(w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_is_left_descents_of_the_coset_top(self, n):
@@ -205,7 +197,7 @@ class TestHeadsBelow:
         lengths = [weyl.length(h) for h in report.heads]
         assert lengths == sorted(lengths)
         for h in report.heads:
-            assert levi.is_stable(h, {1, 3, 4}, {1, 2})
+            assert {1, 2} <= levi.max_levi(h, {1, 3, 4})
             assert weyl.bruhat_leq(h, (3, 4, 1, 2, 5))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -285,17 +277,15 @@ class TestHeadsBelow:
 class TestParabolicRange:
     @pytest.mark.parametrize("call", [
         lambda: levi.max_levi((2, 1, 3), {5}),
-        lambda: levi.is_stable((1, 2, 3), {9}, ()),
         lambda: weyl.lower_covers((3, 1, 2), {9}),
         lambda: weyl.require_quotient((1, 2, 3), {0}),
-        lambda: levi.is_stable((1, 2, 3), (), {9}),
         lambda: levi.require_stable((3, 2, 1), (), {5}),
         lambda: bp.nontoroidal_transport((3, 2, 1), (), {5}),
         lambda: levi.heads_below((3, 1, 2), {9}, ()),
         lambda: toroidal.divisor_checks((3, 2, 1), (), {5}),
         lambda: bp.decompose((3, 2, 1), (), {5}),
-    ], ids=["max_levi", "is_stable", "lower_covers", "require_quotient",
-            "is_stable_levi", "require_stable", "nontoroidal_transport",
+    ], ids=["max_levi", "lower_covers", "require_quotient",
+            "require_stable", "nontoroidal_transport",
             "heads_below", "divisor_checks", "decompose_K"])
     def test_parabolic_index_out_of_range(self, call):
         # the parabolic J or the Levi I is refused with the message
@@ -313,7 +303,6 @@ ENTRIES = {
     "lower_covers": lambda w, J, I, K: weyl.lower_covers(w, J),
     "poincare_polynomial": lambda w, J, I, K: weyl.poincare_polynomial(w, J),
     "max_levi": lambda w, J, I, K: levi.max_levi(w, J),
-    "is_stable": lambda w, J, I, K: levi.is_stable(w, J, I),
     "require_stable": lambda w, J, I, K: levi.require_stable(w, J, I),
     "heads_below": lambda w, J, I, K: levi.heads_below(w, J, I),
     "divisor_checks": lambda w, J, I, K: toroidal.divisor_checks(w, J, I),
@@ -333,7 +322,6 @@ INT_ENTRIES = {
     # the repr shows whether m and i are kept as given or read as ints
     "HorosphericalCase": (lambda m, i: repr(HorosphericalCase("b", m, i)), (4, 2)),
     "quotient_reps": (weyl.quotient_reps, (4, (1,))),
-    "longest_element": (weyl.longest_element, ((1, 3, 4, 5), 6)),
     "blocks": (levi.blocks, ((1, 3, 4, 7), 8)),
     "minimal_head": (levi.minimal_head, ((1,), (2,), 4)),
     "iter_cases": (lambda max_m: list(classify.iter_cases(max_m)), (5,)),
@@ -345,7 +333,6 @@ INT_ENTRIES = {
 #: every entry that takes an explicit rank n, called at rank n
 RANK_ENTRIES = {
     "quotient_reps": lambda n: weyl.quotient_reps(n),
-    "longest_element": lambda n: weyl.longest_element((), n),
     "blocks": lambda n: levi.blocks((), n),
     "minimal_head": lambda n: levi.minimal_head((), (), n),
 }
@@ -414,7 +401,7 @@ class TestInputForms:
             entry(n)
 
     @pytest.mark.parametrize("call", [
-        lambda: levi.is_stable((1, 2, 3, 4), (), {1.5}),
+        lambda: levi.require_stable((1, 2, 3, 4), (), {1.5}),
         lambda: bp.decompose((4, 3, 2, 1), (), {2.5}),
         lambda: weyl.require_quotient((True, 2, 3), ()),
         lambda: weyl.require_quotient((1.0, 2, 3), ()),
@@ -425,7 +412,7 @@ class TestInputForms:
         # a True beside a 1 would merge with it once frozen
         lambda: weyl.require_indices([1, True], 4),
         lambda: weyl.require_quotient((1, 2, 3, 4), (1, 2, True)),
-    ], ids=["is_stable", "decompose", "require_quotient_bool",
+    ], ids=["require_stable", "decompose", "require_quotient_bool",
             "require_quotient_float", "require_indices_str",
             "require_indices_float", "max_levi_bool", "GrassmannSchubert",
             "require_indices_bool_beside_1", "require_quotient_bool_beside_1"])
@@ -499,6 +486,18 @@ class TestMinimalHead:
     def test_frozen(self):
         assert levi.minimal_head((), {2}, 4) == (1, 3, 2, 4)
         assert levi.minimal_head({1, 3, 4}, {2, 3}, 5) == (1, 4, 2, 3, 5)
+
+    def test_longest_frozen(self):
+        # with no quotient the minimal head is the longest element of W_I
+        assert levi.minimal_head((), (), 3) == (1, 2, 3)
+        assert levi.minimal_head((), {1, 2}, 3) == (3, 2, 1)
+        assert levi.minimal_head((), {1, 3, 4, 5}, 6) == (2, 1, 6, 5, 4, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_longest_against_enumeration(self, n):
+        for I in subsets(n):
+            if I:
+                assert levi.minimal_head((), I, n) == oracles.coset_longest(I, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_unique_minimum_of_every_head_set(self, n):

@@ -167,7 +167,7 @@ class TestNecessaryConditions:
                     for check in report.divisors:
                         if check.criterion == toroidal.VIOLATED:
                             assert weyl.bruhat_leq(check.witness, check.divisor)
-                            assert levi.is_stable(check.witness, J, stab)
+                            assert stab <= levi.max_levi(check.witness, J)
 
     @settings(max_examples=60)
     @given(stable_at_ranks_7_8())
