@@ -141,14 +141,17 @@ def _parse_w(args) -> tuple[int, weyl.Perm]:
     return args.n, w
 
 
+def _quotient(d: int | None, text: str, n: int) -> frozenset[int]:
+    """``Delta - {d}`` when ``--d`` is given, else the index set ``text``."""
+    if d is None:
+        return _index_set(text)
+    return weyl.require_descent(d, n)[1]
+
+
 def _parse_instance(args) -> tuple[int, weyl.Perm, frozenset[int], frozenset[int]]:
     n, w = _parse_w(args)
-    if args.d is not None:
-        _, J = weyl.require_descent(args.d, n)
-    else:
-        J = _index_set(args.parabolic)
     # the library entries each command calls check w in W^J and the indices
-    return n, w, J, _index_set(args.levi)
+    return n, w, _quotient(args.d, args.parabolic, n), _index_set(args.levi)
 
 
 def _cmd_analyze(args) -> int:
@@ -190,10 +193,7 @@ def _cmd_toroidal(args) -> int:
 def _cmd_bp(args) -> int:
     n, w = _parse_w(args)
     J = _index_set(args.parabolic)
-    if args.d is not None:
-        _, K = weyl.require_descent(args.d, n)
-    else:
-        K = _index_set(args.quotient)
+    K = _quotient(args.d, args.quotient, n)
     _emit(bp.decompose(w, J, K).to_json(), args.format)
     return 0
 

@@ -4,7 +4,7 @@ divisors by run, and the column pattern characterizing smoothness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import weyl
 from .weyl import Perm
@@ -40,16 +40,6 @@ class GrassmannSchubert:
     def quotient(self) -> frozenset[int]:
         """The parabolic subset omitting only the descent position."""
         return weyl._omitting(self.d, self.n)
-
-    @classmethod
-    def from_columns(cls, n: int, d: int, columns: Iterable[int]) -> "GrassmannSchubert":
-        cols = sorted(columns)
-        if len(cols) != d or len(set(cols)) != d:
-            raise ValueError(f"need {d} distinct column values, got {cols}")
-        if cols and not (1 <= cols[0] and cols[-1] <= n):
-            raise ValueError(f"column values {cols} fall outside 1..{n}")
-        rest = sorted(set(range(1, n + 1)) - set(cols))
-        return cls(d, tuple(cols + rest))
 
     def to_json(self) -> dict:
         return {"n": self.n, "d": self.d, "w": list(self.w)}

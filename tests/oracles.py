@@ -5,8 +5,9 @@ or double loops, Bruhat comparisons from subwords of a reduced word or from
 rank counts, coset representatives from enumerating the arrangements of
 each position block, the Billey-Postnikov maximality from scans over whole
 parabolic subgroups, the Levi stabilizer from coset lengths, left
-descents from the inversion counts of value swaps, and the degree-1 heads
-from scans of the subword interval.
+descents from the inversion counts of value swaps, the degree-1 heads
+from scans of the subword interval, and Grassmann permutations written
+down from their column sets.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ from functools import lru_cache
 
 def ident(n):
     return tuple(range(1, n + 1))
+
+
+def subsets(items):
+    """Every subset of ``items``, by size and then lexicographically."""
+    items = sorted(items)
+    return [frozenset(c) for r in range(len(items) + 1)
+            for c in itertools.combinations(items, r)]
+
+
+def grassmann_perm(n, columns):
+    """The Grassmann permutation of a column set: the columns in increasing
+    order, then the other values of 1..n in increasing order."""
+    cols = sorted(columns)
+    return tuple(cols + [v for v in range(1, n + 1) if v not in cols])
 
 
 def inv_count(w):
@@ -230,7 +245,7 @@ def max_levi_by_length(w, J):
                      if inv_count(coset_min(swap_values(w, i), J)) <= lw)
 
 
-_stabilizer = lru_cache(maxsize=None)(max_levi_by_length)
+stabilizer = lru_cache(maxsize=None)(max_levi_by_length)
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +255,7 @@ def _stable_interval(tau, J):
     the length test."""
     below = [x for x in subword_interval(tau) if not any(x[j - 1] > x[j] for j in J)]
     below.sort(key=lambda x: (inv_count(x), x))
-    return tuple((x, _stabilizer(x, J)) for x in below)
+    return tuple((x, stabilizer(x, J)) for x in below)
 
 
 def heads_scan(tau, J, I):
@@ -257,3 +272,19 @@ def heads_scan(tau, J, I):
     maximal = [h for i, h in enumerate(proper)
                if not any(rank_leq(h, g) for g in proper[i + 1:])]
     return tuple(heads), (minima[0] if heads else None), tuple(maximal)
+
+
+def brute_force_checks(w, J, I):
+    """(divisor, stable, criterion, witness) for each Schubert divisor of
+    ``w``, in lexicographic order, from the oracles alone: covers by
+    length, stability by coset lengths, heads by the interval scan.  The
+    criteria are the strings the toroidal report prints."""
+    out = []
+    for tau in sorted(covers_by_length(w, J)):
+        if I <= stabilizer(tau, J):
+            out.append((tau, True, "criterion-1", None))
+            continue
+        heads, least, _ = heads_scan(tau, J, I)
+        out.append((tau, False, "violated", least) if heads
+                   else (tau, False, "criterion-2", None))
+    return out

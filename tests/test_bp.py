@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from levischubert import bp, levi, toroidal, weyl
-from test_toroidal import brute_force_checks, stabilizer, subsets
+from oracles import brute_force_checks, stabilizer, subsets
 
 
 def subset_pairs(n):

@@ -84,11 +84,11 @@ PINS = json.loads((CORPUS.parent.parent / "bench" / "pins.json").read_text())["s
 #: two pins (the other is the smoke size), so the later one in bound order
 FULL_SIZE = {check: int(bound) for check, bound in
              sorted((key.rsplit("@", 1) for key in PINS), key=lambda cb: int(cb[1]))}
-GRASSMANNIAN = ["head-oracle", "divisor-stability", "smooth-unique-head",
-                "singular-no-stable-divisor", "smooth-palindromic"]
 
 
-def assert_matches_bench_pin(check):
+@pytest.mark.parametrize("check", sorted(FULL_SIZE),
+                         ids=lambda check: f"{check}@{FULL_SIZE[check]}")
+def test_sweep_matches_bench_pin(check):
     # the corpus runs each sweep at a small bound; the benchmark pins the
     # instance count and stdout digest of each at its full size
     bound = FULL_SIZE[check]
@@ -100,17 +100,6 @@ def assert_matches_bench_pin(check):
     assert code == 0
     assert json.loads(text.rsplit("\n", 2)[-2])["instances"] == pin["instances"]
     assert hashlib.sha256(text.encode()).hexdigest() == pin["sha256"]
-
-
-@pytest.mark.parametrize("check", GRASSMANNIAN)
-def test_grassmannian_sweep_matches_bench_pin(check):
-    assert_matches_bench_pin(check)
-
-
-@pytest.mark.parametrize("check", sorted(set(FULL_SIZE) - set(GRASSMANNIAN)),
-                         ids=lambda check: f"{check}@{FULL_SIZE[check]}")
-def test_sweep_matches_bench_pin(check):
-    assert_matches_bench_pin(check)
 
 
 if __name__ == "__main__":

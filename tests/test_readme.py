@@ -2,8 +2,9 @@
 prose and in its code blocks.  Each must resolve in the package, so a
 deleted or renamed function cannot stay documented.  Its list of sweep
 names must be the sweep table's, so a new sweep cannot go unlisted.  And
-every function of the package must have a caller, a README entry or a
-bench trace, so that nothing stays that nothing calls."""
+every function of the package, and every method or property defined in
+one of its classes, must have a caller, a README entry or a bench trace,
+so that nothing stays that nothing calls."""
 
 import ast
 import importlib
@@ -52,10 +53,8 @@ def test_sweep_names_list_every_sweep():
     assert names == list(importlib.import_module("levischubert.sweeps").SWEEPS)
 
 
-def test_every_function_has_a_caller():
-    # a module-level function (private or public, lru_cache unwrapped) is
-    # kept only when package code names it, README documents it as
-    # module.name, or bench/run.py traces it
+def package_names():
+    """Every name and attribute that package code reads or calls."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -63,19 +62,62 @@ def test_every_function_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    named = {".".join(m.groups()) for span in backticked(README.read_text())
-             for m in NAME.finditer(span)} | traced_names()
-    functions = {}
-    for module in MODULES:
-        package_module = importlib.import_module(f"levischubert.{module}")
-        for name, obj in vars(package_module).items():
-            fn = inspect.unwrap(obj)
-            if inspect.isfunction(fn) and fn.__module__ == package_module.__name__:
-                functions[f"{module}.{name}"] = name
+    return used
+
+
+def documented():
+    """The README's ``module.name`` entries and the bench's traced names."""
+    return {".".join(m.groups()) for span in backticked(README.read_text())
+            for m in NAME.finditer(span)} | traced_names()
+
+
+def defined_in(module):
+    """The ``(name, object)`` pairs that ``levischubert.<module>`` defines
+    itself, ``lru_cache`` unwrapped; what it imports is left out."""
+    package_module = importlib.import_module(f"levischubert.{module}")
+    for name, obj in vars(package_module).items():
+        if getattr(inspect.unwrap(obj), "__module__", None) == package_module.__name__:
+            yield name, obj
+
+
+def is_function(obj):
+    return inspect.isfunction(inspect.unwrap(obj))
+
+
+def is_member(name, attr):
+    """A method, property, classmethod or staticmethod, but not a dunder
+    method, which the language calls."""
+    dunder = name.startswith("__") and name.endswith("__")
+    return not dunder and (isinstance(attr, (property, classmethod, staticmethod))
+                           or is_function(attr))
+
+
+def uncalled(qualified_names):
+    """The names in ``qualified_names`` (qualified name -> bare name) that
+    no package code names and neither README nor bench lists."""
+    used, named = package_names(), documented()
+    return {qualified for qualified, name in qualified_names.items()
+            if name not in used and qualified not in named}
+
+
+def test_every_function_has_a_caller():
+    # a module-level function (private or public) is kept only when
+    # package code names it, README documents it as module.name, or
+    # bench/run.py traces it
+    functions = {f"{module}.{name}": name for module in MODULES
+                 for name, obj in defined_in(module) if is_function(obj)}
     assert len(functions) > 50  # the scan still finds the functions
-    uncalled = {qualified for qualified, name in functions.items()
-                if name not in used and qualified not in named}
     # bench/worker.py still reads the cache counters of
     # weyl._parabolic_elements, which nothing in the package calls; ROADMAP
     # item 5 step 2 deletes it and empties this set
-    assert uncalled == {"weyl._parabolic_elements"}
+    assert uncalled(functions) == {"weyl._parabolic_elements"}
+
+
+def test_every_class_member_has_a_caller():
+    # a member defined in the body of a package class is kept on the same
+    # terms, with README documenting it as module.Class.member
+    members = {f"{module}.{cls_name}.{name}": name for module in MODULES
+               for cls_name, cls in defined_in(module) if inspect.isclass(cls)
+               for name, attr in vars(cls).items() if is_member(name, attr)}
+    assert len(members) > 10  # the scan still finds the members
+    assert uncalled(members) == set()

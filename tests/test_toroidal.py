@@ -1,18 +1,10 @@
-import functools
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import brute_force_checks, stabilizer, subsets
 from levischubert import grassmann, levi, toroidal, weyl
 from levischubert.grassmann import GrassmannSchubert
-
-
-def subsets(items):
-    items = sorted(items)
-    return [frozenset(c) for r in range(len(items) + 1)
-            for c in itertools.combinations(items, r)]
 
 
 @st.composite
@@ -21,7 +13,7 @@ def stable_at_ranks_7_8(draw):
     n = draw(st.integers(7, 8), label="n")
     d = draw(st.integers(1, n - 1), label="d")
     cols = draw(st.sets(st.integers(1, n), min_size=d, max_size=d), label="columns")
-    x = GrassmannSchubert.from_columns(n, d, cols)
+    x = GrassmannSchubert(d, oracles.grassmann_perm(n, cols))
     stab = sorted(levi.max_levi(x.w, x.quotient))
     I = draw(st.frozensets(st.sampled_from(stab)) if stab else st.just(frozenset()),
              label="I")
@@ -65,24 +57,6 @@ class TestDivisorStability:
                     for check in toroidal.divisor_checks(x.w, x.quotient, I):
                         (a,) = set(x.columns) - set(check.divisor[:d])
                         assert check.stable == ((a - 1) not in I), (x, I, check)
-
-
-stabilizer = functools.lru_cache(maxsize=None)(oracles.max_levi_by_length)
-
-
-def brute_force_checks(w, J, I):
-    """(divisor, stable, criterion, witness) for each Schubert divisor of
-    ``w``, in lexicographic order, from the oracles alone: covers by
-    length, stability by coset lengths, heads by the interval scan."""
-    out = []
-    for tau in sorted(oracles.covers_by_length(w, J)):
-        if I <= stabilizer(tau, J):
-            out.append((tau, True, toroidal.CRITERION_STABLE, None))
-            continue
-        heads, least, _ = oracles.heads_scan(tau, J, I)
-        out.append((tau, False, toroidal.VIOLATED, least) if heads
-                   else (tau, False, toroidal.CRITERION_NO_HEAD, None))
-    return out
 
 
 def as_tuples(checks):
@@ -259,9 +233,9 @@ class TestHeadCriteria:
 
     def test_checks_above_the_cap(self):
         # neither check enumerates, so both run past RANK_LIMIT
-        smooth = GrassmannSchubert.from_columns(12, 4, (1, 2, 9, 10))
+        smooth = GrassmannSchubert(4, oracles.grassmann_perm(12, (1, 2, 9, 10)))
         assert toroidal.unique_head_check(smooth)
-        singular = GrassmannSchubert.from_columns(12, 3, (2, 5, 12))
+        singular = GrassmannSchubert(3, oracles.grassmann_perm(12, (2, 5, 12)))
         assert toroidal.no_stable_divisor_check(singular)
 
 

@@ -154,9 +154,7 @@ class TestCosetReps:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_coset_enumeration(self, n):
-        subsets = [frozenset(c) for r in range(n)
-                   for c in itertools.combinations(range(1, n), r)]
-        for J in subsets:
+        for J in oracles.subsets(range(1, n)):
             for w in itertools.permutations(range(1, n + 1)):
                 v = weyl.min_coset_rep(w, J)
                 assert v == oracles.coset_min(w, J)
@@ -226,9 +224,7 @@ class TestLowerCovers:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_subword_filter(self, n):
-        subsets = [frozenset(c) for r in range(n)
-                   for c in itertools.combinations(range(1, n), r)]
-        for J in subsets:
+        for J in oracles.subsets(range(1, n)):
             for w in weyl.quotient_reps(n, J):
                 covers = weyl.lower_covers(w, J)
                 assert covers == oracles.covers_below(w, J, n)
@@ -262,9 +258,7 @@ class TestLowerCovers:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_no_intermediate_element(self, n):
-        subsets = [frozenset(c) for r in range(n)
-                   for c in itertools.combinations(range(1, n), r)]
-        for J in subsets:
+        for J in oracles.subsets(range(1, n)):
             reps = weyl.quotient_reps(n, J)
             for w in reps:
                 for tau in weyl.lower_covers(w, J):
@@ -304,7 +298,7 @@ class TestPoincare:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_interval_count_exhaustively(self, n):
-        for J in subsets(n):
+        for J in oracles.subsets(range(1, n)):
             for w in oracles.quotient_perms(n, J):
                 assert weyl.poincare_polynomial(w, J) == interval_count(w, J), (w, J)
 
@@ -375,11 +369,6 @@ class TestGrassmannPoincare:
         finally:
             weyl._poincare.cache_clear()
         assert len(cases) == 114 and calls == []
-
-
-def subsets(n):
-    return [frozenset(c) for r in range(n)
-            for c in itertools.combinations(range(1, n), r)]
 
 
 def interval_count(w, J):
