@@ -73,9 +73,8 @@ class HorosphericalCase:
         family = _BY_TAG.get(self.tag)
         if family is None:
             raise ValueError(f"unknown family tag {self.tag!r}")
-        if type(self.m) is not int:
-            object.__setattr__(self, "m", weyl.require_int(self.m, "m"))
-        if self.i is not None and type(self.i) is not int:
+        object.__setattr__(self, "m", weyl.require_int(self.m, "m"))
+        if self.i is not None:
             object.__setattr__(self, "i", weyl.require_int(self.i, "i"))
         if self.m < family.min_m:
             raise ValueError(f"family {self.tag} requires m >= {family.min_m}")
@@ -86,21 +85,13 @@ class HorosphericalCase:
             raise ValueError(f"family {self.tag} requires 1 <= i <= m-1")
 
 
-def case_dimensions(case: HorosphericalCase) -> tuple[int, int, int]:
-    """Dimension of the embedding and of its two closed orbits.
-
-    Family a is a quadric of dimension 2m with two m-dimensional projective
-    spaces inside; family b is Gr(i+1, m+2) with the two adjacent smaller
-    Grassmannians; family c is the even orthogonal Grassmannian pair inside
-    the odd one, with triangular-number dimensions.
-    """
-    return _BY_TAG[case.tag].dimensions(case.m, case.i)
-
-
 def codim_at_least_two(case: HorosphericalCase) -> bool:
     """True iff both closed orbits have codimension >= 2, so neither is a
-    divisor; this is what rules out the toroidal property for the family."""
-    total, orb_a, orb_b = case_dimensions(case)
+    divisor; this rules out the toroidal property for the family.  Family a
+    is a quadric of dimension 2m with two m-dimensional projective spaces
+    inside; b is Gr(i+1, m+2) with the two adjacent smaller Grassmannians;
+    c is the odd orthogonal Grassmannian with the even pair inside it."""
+    total, orb_a, orb_b = _BY_TAG[case.tag].dimensions(case.m, case.i)
     return orb_a <= total - 2 and orb_b <= total - 2
 
 

@@ -216,11 +216,8 @@ def _tally(records, bound: str, check: str, echo: bool) -> tuple[int, int]:
 
 
 def _cmd_sweep(args) -> int:
-    fn, default_bound, is_rank = sweeps.SWEEPS[args.check]
+    fn, default_bound, _ = sweeps.SWEEPS[args.check]
     bound = args.max_n if args.max_n is not None else default_bound
-    if is_rank and bound > weyl.RANK_LIMIT:
-        raise weyl.RankLimitError(
-            f"--max-n {bound} exceeds the enumeration limit {weyl.RANK_LIMIT}")
     instances, violations = _tally(fn(bound), f"--max-n {bound}", args.check,
                                    echo=args.format == "json")
     if args.format == "json":

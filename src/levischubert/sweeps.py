@@ -31,8 +31,8 @@ def _subset_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
 
 def _ranks(max_n: int) -> range:
     """The ranks ``2..max_n`` a rank sweep covers; ``max_n`` is read by
-    :func:`weyl.require_int`, so a ``bool``, float or string is refused."""
-    return range(2, weyl.require_int(max_n, "max_n") + 1)
+    :func:`weyl.require_int` and refused above the rank cap before any record."""
+    return range(2, weyl._check_rank(weyl.require_int(max_n, "max_n")) + 1)
 
 
 def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:

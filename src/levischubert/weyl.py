@@ -40,9 +40,10 @@ class RankLimitError(ValueError):
     """An enumeration would exceed :data:`RANK_LIMIT`."""
 
 
-def _check_rank(n: int) -> None:
+def _check_rank(n: int) -> int:
     if n > RANK_LIMIT:
         raise RankLimitError(f"rank {n} exceeds the enumeration limit {RANK_LIMIT}")
+    return n
 
 
 def identity(n: int) -> Perm:
@@ -216,6 +217,7 @@ def require_quotient(w: Perm, J: Iterable[int]) -> tuple[Perm, frozenset[int]]:
     w = tuple(w)
     if not _INT.issuperset(map(type, w)):
         w = tuple(require_int(v, "a permutation entry") for v in w)
+    require_rank(len(w))
     if not is_permutation(w):
         raise ValueError(f"{w} is not a permutation")
     J = require_indices(J, len(w))
@@ -235,6 +237,7 @@ def min_coset_rep(w: Perm, J: Iterable[int]) -> Perm:
     >>> min_coset_rep((3, 4, 1, 2), {2})
     (3, 1, 4, 2)
     """
+    w = require_quotient(w, ())[0]
     return _min_coset_rep(w, require_indices(J, len(w)))
 
 

@@ -268,7 +268,10 @@ MUTANTS = {
     "projection-dichotomy": (
         weyl, "_lower_covers", lambda f: lambda w, J: frozenset() if J else f(w, J), 4),
     "smooth-palindromic": (grassmann, "is_smooth", lambda f: lambda x: False, 4),
-    "classify-codim": (classify, "case_dimensions", lambda f: lambda case: (1, 1, 1), 3),
+    # every family's orbits then fill the whole space
+    "classify-codim": (classify, "_BY_TAG", lambda by_tag: {
+        tag: dataclasses.replace(f, dimensions=lambda m, i: (1, 1, 1))
+        for tag, f in by_tag.items()}, 3),
 }
 
 

@@ -295,6 +295,7 @@ INSTANCE = ((2, 6, 1, 3, 4, 5), {1, 3, 4, 5}, {1, 3, 4, 5}, {1, 2, 3, 4, 5})
 ENTRIES = {
     "require_indices": lambda w, J, I, K: weyl.require_indices(J, len(w)),
     "require_quotient": lambda w, J, I, K: weyl.require_quotient(w, J),
+    "min_coset_rep": lambda w, J, I, K: weyl.min_coset_rep(w, J),
     "lower_covers": lambda w, J, I, K: weyl.lower_covers(w, J),
     "poincare_polynomial": lambda w, J, I, K: weyl.poincare_polynomial(w, J),
     "max_levi": lambda w, J, I, K: levi.max_levi(w, J),
@@ -395,11 +396,21 @@ class TestInputForms:
         with pytest.raises(ValueError, match=f"rank n={n} must be positive"):
             entry(n)
 
+    @pytest.mark.parametrize("name", [
+        name for name in ENTRIES
+        if name not in ("require_indices", "toroidal_necessary")])
+    def test_rank_zero_permutation_refused(self, name):
+        # the empty permutation has rank 0, refused as an explicit rank 0
+        # is; toroidal_necessary refuses it through its descent position d
+        with pytest.raises(ValueError, match="rank n=0 must be positive"):
+            ENTRIES[name]((), (), (), ())
+
     @pytest.mark.parametrize("call", [
         lambda: levi.require_stable((1, 2, 3, 4), (), {1.5}),
         lambda: bp.decompose((4, 3, 2, 1), (), {2.5}),
         lambda: weyl.require_quotient((True, 2, 3), ()),
         lambda: weyl.require_quotient((1.0, 2, 3), ()),
+        lambda: weyl.min_coset_rep((1.0, 2), ()),
         lambda: weyl.require_indices({"1"}, 4),
         lambda: weyl.require_indices({2.0}, 4),
         lambda: levi.max_levi((1, 2, 3), {True}),
@@ -408,7 +419,7 @@ class TestInputForms:
         lambda: weyl.require_indices([1, True], 4),
         lambda: weyl.require_quotient((1, 2, 3, 4), (1, 2, True)),
     ], ids=["require_stable", "decompose", "require_quotient_bool",
-            "require_quotient_float", "require_indices_str",
+            "require_quotient_float", "min_coset_rep_float", "require_indices_str",
             "require_indices_float", "max_levi_bool", "GrassmannSchubert",
             "require_indices_bool_beside_1", "require_quotient_bool_beside_1"])
     def test_non_integer_refused(self, call):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from levischubert import bp, grassmann, levi, toroidal, weyl
+from levischubert import bp, grassmann, levi, sweeps, toroidal, weyl
 
 
 class TestLength:
@@ -151,6 +151,11 @@ class TestCosetReps:
         assert weyl.min_coset_rep((1, 2, 3), {1, 2}) == (1, 2, 3)
         assert weyl.min_coset_rep((3, 2, 1), {1}) == (2, 3, 1)
         assert weyl.min_coset_rep((3, 4, 1, 2), {2}) == (3, 1, 4, 2)
+
+    def test_refuses_a_non_permutation(self):
+        # sorting the block {1, 2} of (3, 3, 1) would hand it back unchanged
+        with pytest.raises(ValueError, match=r"\(3, 3, 1\) is not a permutation"):
+            weyl.min_coset_rep((3, 3, 1), {1})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_coset_enumeration(self, n):
@@ -453,6 +458,15 @@ class TestRankLimit:
     @pytest.mark.parametrize("call", UNCAPPED.values(), ids=UNCAPPED.keys())
     def test_polynomial_entries_answer_past_the_cap(self, call):
         assert call() is not None
+
+    @pytest.mark.parametrize("check", [
+        check for check, (_, _, is_rank) in sweeps.SWEEPS.items() if is_rank])
+    def test_rank_sweeps_refuse_before_any_record(self, check):
+        # the cap is checked when the ranks are read, not after the lower
+        # ranks have streamed their records
+        sweep = sweeps.SWEEPS[check][0]
+        with pytest.raises(weyl.RankLimitError, match="rank 9 exceeds"):
+            next(sweep(weyl.RANK_LIMIT + 1))
 
     def test_limit_is_a_value_error(self):
         assert issubclass(weyl.RankLimitError, ValueError)
