@@ -12,9 +12,10 @@ projection sweep; the maximality of ``u`` is polynomial too.  Only the
 defining identity enumerates, so only the ``bp`` report and the
 ``bp-equivalence`` sweep run it.
 
-:func:`project_divisors` sorts every Schubert divisor of ``w`` into one of
-three kinds, for any decomposition; the projection sweep checks that a
-factoring one never yields :data:`NEITHER`.  :func:`nontoroidal_transport`
+:func:`project_divisors` sorts every Schubert divisor of ``w`` by the
+dimension its image in ``W^K`` loses against ``v``: none, one, or more
+(:data:`NEITHER`); the projection sweep checks that a factoring
+decomposition never loses more.  :func:`nontoroidal_transport`
 runs :func:`toroidal.divisor_checks` on each image ``v`` in a maximal ``W^K``.
 """
 
@@ -118,25 +119,25 @@ def poincare_factorizes(d: BPDecomposition) -> bool:
 
 def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     """Classify the image of every Schubert divisor ``tau`` of ``d.w`` under
-    the coset projection attached to ``d.K``: :data:`ONTO` when the image
-    is ``v`` itself, :data:`DIVISOR` when it is a Schubert divisor of
-    ``v``, :data:`NEITHER` otherwise.  Returns ``(tau, image, kind)``
-    triples in the iteration order of ``weyl.lower_covers(d.w, d.J)``.
-
-    When the decomposition factors, no divisor is :data:`NEITHER` (the
-    projection dichotomy); without the factorization an image can drop
-    more than one dimension.
+    the coset projection attached to ``d.K`` by the dimension it loses,
+    ``l(v) - l(image)``: :data:`ONTO` for 0, :data:`DIVISOR` for 1 and
+    :data:`NEITHER` for more.  The projection keeps Bruhat order and
+    ``W^K`` is graded by length, so the image is ``v``, a Schubert divisor
+    of ``v``, or neither.  Returns ``(tau, image, kind)`` triples in the
+    iteration order of ``weyl.lower_covers(d.w, d.J)``.  When the
+    decomposition factors, no divisor is :data:`NEITHER` (the projection
+    dichotomy).
 
     >>> for tau, image, kind in sorted(project_divisors(decompose((3, 2, 1), (), {1}))):
     ...     print(tau, image, kind)
     (2, 3, 1) (2, 3, 1) onto-image
     (3, 1, 2) (1, 3, 2) unique-divisor
     """
-    vcovers = weyl._lower_covers(d.v, d.K)
+    top = weyl.length(d.v)
     out = []
     for tau in weyl._lower_covers(d.w, d.J):
         image = weyl._min_coset_rep(tau, d.K)
-        kind = ONTO if image == d.v else DIVISOR if image in vcovers else NEITHER
+        kind = (ONTO, DIVISOR, NEITHER)[min(top - weyl.length(image), 2)]
         out.append((tau, image, kind))
     return tuple(out)
 

@@ -4,8 +4,8 @@ Subcommands: analyze, heads, toroidal, bp, sweep, classify.  Permutations
 are comma-separated one-line notation ("3,4,1,2"); parabolic and Levi sets
 are comma-separated simple-root indices ("1,3,4"); ``--d k`` selects the
 Grassmannian quotient omitting only position k.  The command line only
-turns this text into integers and checks that ``--n`` is positive and that
-``--w`` has ``--n`` entries; the library entries it calls check the rest.
+turns this text into integers, reads ``--n`` by ``weyl.require_rank`` and
+checks that ``--w`` has ``--n`` entries; the library entries check the rest.
 
 Exit codes: 0 ok, 1 violation found in a verification sweep, 2 usage
 error (a bound that yields no instances included), 3 rank limit exceeded,
@@ -133,12 +133,11 @@ def _index_set(text: str) -> frozenset[int]:
 
 
 def _parse_w(args) -> tuple[int, weyl.Perm]:
-    if args.n < 1:
-        raise ValueError("--n must be positive")
+    n = weyl.require_rank(args.n)
     w = _ints(args.w, "comma-separated one-line notation")
-    if len(w) != args.n:
-        raise ValueError(f"--w has {len(w)} entries; expected {args.n}")
-    return args.n, w
+    if len(w) != n:
+        raise ValueError(f"--w has {len(w)} entries; expected {n}")
+    return n, w
 
 
 def _quotient(d: int | None, text: str, n: int) -> frozenset[int]:

@@ -24,7 +24,7 @@ class GrassmannSchubert:
     w: Perm
 
     def __post_init__(self):
-        d, J = weyl.require_descent(self.d, self.n)
+        d, J = weyl.require_descent(self.d, weyl.require_rank(self.n))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "w", weyl.require_quotient(self.w, J)[0])
 

@@ -255,6 +255,37 @@ class TestProjectDivisor:
             ((1, 2, 4, 3), (1, 2, 3, 4), bp.NEITHER),
             ((1, 3, 2, 4), (1, 3, 2, 4), bp.DIVISOR)]
 
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_oracles_at_ranks_7_8(self, data):
+        # each kind against the definition: the image is v, one of its
+        # covers in W^K, or neither, and a factoring pair yields no neither
+        d = random_decomposition(data, 7, 8)
+        v = oracles.coset_min(d.w, d.K)
+        vcovers = oracles.covers_by_length(v, d.K)
+        factors = oracles.bp_support_by_descents(d.v, d.u, d.J, d.K)
+        got = bp.project_divisors(d)
+        assert {tau for tau, _, _ in got} == oracles.covers_by_length(d.w, d.J)
+        for tau, image, kind in got:
+            assert image == oracles.coset_min(tau, d.K)
+            assert (kind == bp.ONTO) == (image == v)
+            assert (kind == bp.DIVISOR) == (image in vcovers)
+            assert not (factors and kind == bp.NEITHER), (d.w, d.J, d.K, tau)
+
+    def test_one_cover_walk_per_call(self, monkeypatch):
+        # the kind is read off the lengths, so the only cover walk is the
+        # one listing the divisors of w
+        decompositions = [bp.decompose(w, J, K) for n in (2, 3, 4)
+                          for J, K in subset_pairs(n)
+                          for w in weyl.quotient_reps(n, J)]
+        calls = []
+        fn = weyl._lower_covers
+        monkeypatch.setattr(weyl, "_lower_covers",
+                            lambda w, J: calls.append((w, J)) or fn(w, J))
+        for d in decompositions:
+            bp.project_divisors(d)
+        assert calls == [(d.w, d.J) for d in decompositions]
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dichotomy_exhaustive(self, n):
         # the kind is read off the image for every pair; the Poincare

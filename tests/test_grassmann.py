@@ -27,6 +27,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GrassmannSchubert(d, w)
 
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_rejects_rank_0_by_its_rank(self, d):
+        # the rank is read before the descent position is measured against it
+        with pytest.raises(ValueError, match=r"^rank n=0 must be positive$"):
+            GrassmannSchubert(d, ())
+
     @pytest.mark.parametrize("d", [0, 4, 7])
     def test_all_grassmann_rejects_descent_out_of_range(self, d):
         # refused, not answered with no element
