@@ -91,7 +91,7 @@ def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     n = weyl._check_rank(weyl.require_int(n, "rank n"))  # before Delta - {d} is built
     d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
-    for w in weyl._quotient_reps(n, J):
+    for w in weyl._quotient_reps(n, J)[0]:
         x = object.__new__(GrassmannSchubert)
         fields = x.__dict__
         fields["d"], fields["w"] = d, w

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from levischubert import bp, grassmann, levi, sweeps, toroidal, weyl
@@ -212,6 +212,46 @@ class TestQuotientReps:
     def test_matches_filter_oracle_at_rank_8(self, J):
         assert list(weyl.quotient_reps(8, J)) == oracles.quotient_perms(8, J)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_lengths_match_inversion_count(self, n):
+        for J in oracles.subsets(range(1, n)):
+            reps, lengths = weyl._quotient_reps(n, J)
+            assert type(lengths) is bytes
+            assert list(lengths) == [oracles.inv_count(x) for x in reps], J
+
+    @settings(max_examples=20)
+    @given(st.frozensets(st.integers(min_value=1, max_value=7)))
+    def test_lengths_match_inversion_count_at_rank_8(self, J):
+        reps, lengths = weyl._quotient_reps(8, J)
+        assert list(lengths) == [oracles.inv_count(x) for x in reps]
+
+    def test_a_length_past_a_byte_raises(self, monkeypatch):
+        # with the cap lifted, Gr(256, 257) and Gr(1, 257) each hold an
+        # element of length 256; one rank lower the longest has 255
+        monkeypatch.setattr(weyl, "RANK_LIMIT", 257)
+        try:
+            for n, tail in ((257, 256), (256, 255)):
+                for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
+                    if tail > 255:
+                        with pytest.raises(ValueError, match="range"):
+                            weyl._quotient_reps(n, J)
+                    else:
+                        reps, lengths = weyl._quotient_reps(n, J)
+                        assert len(lengths) == len(reps) == n
+                        assert max(lengths) == 255
+                        assert lengths[0] == 0
+        finally:
+            # an entry listed past the real cap must not answer later calls
+            weyl._quotient_reps.cache_clear()
+
+    @pytest.mark.parametrize("a,b", [((0, 55), (200,)), ((200,), (0, 55))])
+    def test_each_sum_fits_a_byte_or_raises(self, a, b):
+        # both orders: one translation per element of the shorter side
+        assert weyl._outer_sum(bytes(a), bytes(b), 255) == bytes((200, 255))
+        a, b = [tuple(v + (v == 55) for v in side) for side in (a, b)]
+        with pytest.raises(ValueError, match="range"):
+            weyl._outer_sum(bytes(a), bytes(b), 256)
+
 
 class TestLowerCovers:
     def test_identity_has_none(self):
@@ -328,6 +368,62 @@ class TestPoincare:
         assert got == interval_count(w, J)
         assert all(m < n for m in scanned)
 
+    @staticmethod
+    def scan(w, J):
+        """``poincare_polynomial(w, J)``, cold, for a ``w`` of full support
+        in a ``W^J`` whose ``J`` omits two or more indices: neither the
+        Young-diagram count nor the support split answers, so ``W^J`` is
+        scanned, each element's length read off its listing."""
+        scanned = []
+        fn = weyl._quotient_reps
+        weyl._poincare.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(weyl, "_quotient_reps",
+                           lambda m, L: scanned.append(m) or fn(m, L))
+                got = weyl.poincare_polynomial(w, J)
+        finally:
+            weyl._poincare.cache_clear()
+        assert scanned == [len(w)]
+        return got
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_full_support_scan_exhaustively(self, n):
+        for J in oracles.subsets(range(1, n)):
+            if len(J) > n - 3:
+                continue
+            for w in oracles.quotient_perms(n, J):
+                if full_support(w):
+                    assert self.scan(w, J) == interval_count(w, J), (w, J)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_full_support_scan_at_ranks_7_8(self, data):
+        n = data.draw(st.integers(7, 8), label="n")
+        size = data.draw(st.integers(0, n - 3), label="|J|")
+        J = data.draw(st.frozensets(st.integers(1, n - 1), min_size=size, max_size=size),
+                      label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        assume(full_support(w))
+        assert self.scan(w, J) == interval_count(w, J)
+
+    def test_one_length_and_one_bruhat_test_per_element(self, monkeypatch):
+        # the slowest bp query's w: 1,260 elements of W^J, 672 below w
+        w, J = (4, 6, 5, 7, 2, 3, 1), frozenset({1, 5})
+        calls = {"length": 0, "bruhat_leq": 0}
+        for name in calls:
+            fn = getattr(weyl, name)
+
+            def counted(*a, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*a)
+            monkeypatch.setattr(weyl, name, counted)
+        got = self.scan(w, J)
+        assert got == interval_count(w, J) and sum(got) == 672
+        assert len(oracles.quotient_perms(7, J)) == 1260
+        assert calls == {"length": 1, "bruhat_leq": 1260}
+
 
 class TestGrassmannPoincare:
     """``J`` omitting one index: the Young-diagram count, against scans of
@@ -384,6 +480,11 @@ def interval_count(w, J):
         if not any(x[j - 1] > x[j] for j in J):
             coeffs[oracles.inv_count(x)] += 1
     return tuple(coeffs)
+
+
+def full_support(w):
+    """Every ``s_i`` lies below ``w``: no prefix ``w(1..i)`` is ``{1..i}``."""
+    return all(max(w[:i]) > i for i in range(1, len(w)))
 
 
 def in_parabolic(x, K):
