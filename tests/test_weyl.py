@@ -226,29 +226,27 @@ class TestQuotientReps:
         assert list(lengths) == [oracles.inv_count(x) for x in reps]
 
     def test_a_length_past_a_byte_raises(self, monkeypatch):
-        # with the cap lifted, Gr(256, 257) and Gr(1, 257) each hold an
-        # element of length 256; one rank lower the longest has 255
+        # with the cap lifted, W^J of Gr(n - 1, n) and of Gr(1, n) holds one
+        # element of each length 0..n - 1
         monkeypatch.setattr(weyl, "RANK_LIMIT", 257)
         try:
-            for n, tail in ((257, 256), (256, 255)):
-                for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
-                    if tail > 255:
-                        with pytest.raises(ValueError, match="range"):
-                            weyl._quotient_reps(n, J)
-                    else:
-                        reps, lengths = weyl._quotient_reps(n, J)
-                        assert len(lengths) == len(reps) == n
-                        assert max(lengths) == 255
-                        assert lengths[0] == 0
+            for J in (frozenset(range(1, 255)), frozenset(range(2, 256))):
+                reps, lengths = weyl._quotient_reps(256, J)
+                assert len(reps) == 256 and sorted(lengths) == list(range(256))
+            for J in (frozenset(range(1, 256)), frozenset(range(2, 257))):
+                with pytest.raises(ValueError, match="range"):
+                    weyl._quotient_reps(257, J)
         finally:
             # an entry listed past the real cap must not answer later calls
             weyl._quotient_reps.cache_clear()
 
+    # both orders: one translation per element of the shorter side
     @pytest.mark.parametrize("a,b", [((0, 55), (200,)), ((200,), (0, 55))])
-    def test_each_sum_fits_a_byte_or_raises(self, a, b):
-        # both orders: one translation per element of the shorter side
+    def test_outer_sum_fits_a_byte(self, a, b):
         assert weyl._outer_sum(bytes(a), bytes(b), 255) == bytes((200, 255))
-        a, b = [tuple(v + (v == 55) for v in side) for side in (a, b)]
+
+    @pytest.mark.parametrize("a,b", [((0, 56), (200,)), ((200,), (0, 56))])
+    def test_outer_sum_past_a_byte_raises(self, a, b):
         with pytest.raises(ValueError, match="range"):
             weyl._outer_sum(bytes(a), bytes(b), 256)
 
