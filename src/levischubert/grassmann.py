@@ -88,7 +88,7 @@ def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     from ``weyl._quotient_reps``, whose every ``w`` is in ``W^J``, and
     equals ``GrassmannSchubert(d, w)``.
     """
-    n = weyl._check_rank(weyl.require_int(n, "rank n"))  # before Delta - {d} is built
+    n = weyl._check_rank(weyl.require_rank(n))  # before Delta - {d} is built
     d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
     for w in weyl._quotient_reps(n, J)[0]:

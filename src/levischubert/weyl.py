@@ -197,7 +197,7 @@ def _omitting(d: int, n: int) -> frozenset[int]:
     return frozenset(range(1, n)) - {d}
 
 
-# bounded, yet every (J, n) with n <= RANK_LIMIT (255 of them) fits
+# bounded, yet every (J, n) with n <= RANK_LIMIT fits: 2**RANK_LIMIT - 1 of them
 @lru_cache(maxsize=1024)
 def _position_blocks(J: frozenset[int], n: int) -> tuple[tuple[int, int], ...]:
     """Maximal position intervals ``[lo, hi]``; ``i, i + 1`` share one iff ``i in J``."""
@@ -258,67 +258,45 @@ def _longest_element(J: frozenset[int], n: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _quotient_reps(n: int, J: frozenset[int]) -> tuple[tuple[Perm, ...], bytes]:
-    """``W^J`` in lex order, and each element's length in a parallel store."""
+def _quotient_reps(n: int, J: frozenset[int]) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
+    """``W^J`` in lex order, and each element's length in a parallel tuple."""
     _check_rank(n)
-    # segments of positions as (is a J-block, size): a J-block must increase,
-    # a run of singleton blocks is unconstrained
-    segments: list[tuple[bool, int]] = []
-    blocks = _position_blocks(J, n)
-    for lo, hi in blocks:
-        if hi > lo:
-            segments.append((True, hi - lo + 1))
-        elif segments and not segments[-1][0]:
-            segments[-1] = (False, segments[-1][1] + 1)
-        else:
-            segments.append((False, 1))
-    *head, (last_is_block, _) = segments
-    # no length passes that of the longest element, w0 * w0(J); a byte
-    # holds every length _check_rank admits (at most 28)
-    top = n * (n - 1) // 2 - sum((hi - lo) * (hi - lo + 1) // 2 for lo, hi in blocks)
+    sizes = [hi - lo + 1 for lo, hi in _position_blocks(J, n)]
+    # a trailing run of free positions (blocks of one) is unconstrained and
+    # takes every permutation of the values left; a last J-block takes them
+    # sorted; every block before either draws an increasing selection
+    free = next((k for k, size in enumerate(reversed(sizes)) if size > 1), len(sizes))
+    head = len(sizes) - max(free, 1)
     # fixed-length prefixes, each paired with its unused values, in lex
-    # order, and their inversions so far; a run of singleton blocks before
-    # the last segment draws one value per position
+    # order, and per block the inversions each of its choices adds
     level: list[tuple[Perm, Perm]] = [((), tuple(range(1, n + 1)))]
-    lengths = b"\0"
+    steps: list[list[int]] = []
     m = n
-    for size in [k for is_block, s in head for k in ([s] if is_block else [1] * s)]:
+    for i, size in enumerate(sizes):
         # taking indices c_1 < ... < c_s of the unused values leaves
-        # c_k - (k - 1) smaller ones to the right of the k-th; complements
-        # run in the reverse lex order of their own combinations
-        level = [(prefix + chosen, rest) for prefix, unused in level
-                 for chosen, rest in zip(
-                     itertools.combinations(unused, size),
-                     reversed(tuple(itertools.combinations(unused, m - size))))]
-        lengths = _outer_sum(lengths, bytes(
-            sum(c) - size * (size - 1) // 2
-            for c in itertools.combinations(range(m), size)), top)
+        # c_k - (k - 1) smaller ones to the right of the k-th; a free
+        # position's choices are its Lehmer-code digits
+        steps.append([sum(c) - size * (size - 1) // 2
+                      for c in itertools.combinations(range(m), size)])
+        if i < head:
+            # complements run in the reverse lex order of their own
+            # combinations
+            level = [(prefix + chosen, rest) for prefix, unused in level
+                     for chosen, rest in zip(
+                         itertools.combinations(unused, size),
+                         reversed(tuple(itertools.combinations(unused, m - size))))]
         m -= size
-    if last_is_block:
-        return tuple(prefix + rest for prefix, rest in level), lengths
-    # the inversions of permutations(range(m)) in lex order: the first
-    # index taken, plus those of the rest
-    codes = b"\0"
-    for k in range(2, m + 1):
-        codes = _outer_sum(bytes(range(k)), codes, top)
-    return (tuple(prefix + tail for prefix, rest in level
-                  for tail in itertools.permutations(rest)),
-            _outer_sum(lengths, codes, top))
-
-
-def _outer_sum(a: bytes, b: bytes, top: int) -> bytes:
-    """``a[i] + b[j]`` for every ``i``, then ``j``, each sum at most ``top``,
-    by ``min(len(a), len(b))`` translations.  A table's ``bytes`` raises
-    ``ValueError`` when ``top`` passes 255, so no sum wraps."""
-    def adding(by: int) -> bytes:
-        return bytes(range(by, top + 1)).ljust(256, b"\0")
-
-    if len(a) <= len(b):
-        return b"".join(b.translate(adding(x)) for x in a)
-    out = bytearray(len(a) * len(b))
-    for j, y in enumerate(b):
-        out[j::len(b)] = a.translate(adding(y))
-    return bytes(out)
+    # a length sums one increment per block, the first block outermost;
+    # folding from the last block keeps the partial lists short
+    lengths = [0]
+    for step in reversed(steps):
+        lengths = [a + b for a in step for b in lengths]
+    if free:
+        reps = [prefix + tail for prefix, rest in level
+                for tail in itertools.permutations(rest)]
+    else:
+        reps = [prefix + rest for prefix, rest in level]
+    return tuple(reps), tuple(lengths)
 
 
 def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
@@ -331,11 +309,11 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
     proportional to ``|W^J|``.  Ranks above :data:`RANK_LIMIT` are still
     refused, however small the quotient.
 
-    The listing also sums each element's length as it builds it, and
-    :func:`poincare_polynomial` reads those lengths: a step taking the
+    The listing also gives each element's length as a plain ``int``, and
+    :func:`poincare_polynomial` reads those lengths: a block taking the
     unused values at indices ``c_1 < ... < c_s`` adds
-    ``sum(c_k) - s(s - 1)/2`` inversions, and a last run of free positions
-    adds the Lehmer-code sums of its permutations, which run in lex order.
+    ``sum(c_k) - s(s - 1)/2`` inversions, so a free position adds its
+    Lehmer-code digit, and a length is one such sum per block.
 
     >>> quotient_reps(3, {1})
     ((1, 2, 3), (1, 3, 2), (2, 3, 1))
@@ -477,9 +455,9 @@ def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     of those blocks, with lengths adding, so the polynomial is the product
     of the blocks' polynomials, each with ``J`` restricted to the block.
     Only a ``w`` of full support is tested against every element of
-    ``W^J``: one Bruhat test per element, each length read off the
-    listing of :func:`quotient_reps` rather than counted again.  Ranks
-    above :data:`RANK_LIMIT` are refused on every path.
+    ``W^J``: one Bruhat test per element, each length read as a plain
+    ``int`` off the listing of :func:`quotient_reps` rather than counted
+    again.  Ranks above :data:`RANK_LIMIT` are refused on every path.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)

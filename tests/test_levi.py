@@ -331,6 +331,7 @@ RANK_ENTRIES = {
     "quotient_reps": lambda n: weyl.quotient_reps(n),
     "blocks": lambda n: levi.blocks((), n),
     "minimal_head": lambda n: levi.minimal_head((), (), n),
+    "all_grassmann": lambda n: list(grassmann.all_grassmann(n, 1)),
 }
 
 
@@ -396,12 +397,10 @@ class TestInputForms:
         with pytest.raises(ValueError, match=f"rank n={n} must be positive"):
             entry(n)
 
-    @pytest.mark.parametrize("name", [
-        name for name in ENTRIES
-        if name not in ("require_indices", "toroidal_necessary")])
+    @pytest.mark.parametrize("name", [name for name in ENTRIES if name != "require_indices"])
     def test_rank_zero_permutation_refused(self, name):
         # the empty permutation has rank 0, refused as an explicit rank 0
-        # is; toroidal_necessary refuses it through its descent position d
+        # is; toroidal_necessary's GrassmannSchubert reads its rank first
         with pytest.raises(ValueError, match="rank n=0 must be positive"):
             ENTRIES[name]((), (), (), ())
 

@@ -216,7 +216,7 @@ class TestQuotientReps:
     def test_lengths_match_inversion_count(self, n):
         for J in oracles.subsets(range(1, n)):
             reps, lengths = weyl._quotient_reps(n, J)
-            assert type(lengths) is bytes
+            assert type(lengths) is tuple and {type(x) for x in lengths} == {int}
             assert list(lengths) == [oracles.inv_count(x) for x in reps], J
 
     @settings(max_examples=20)
@@ -225,30 +225,21 @@ class TestQuotientReps:
         reps, lengths = weyl._quotient_reps(8, J)
         assert list(lengths) == [oracles.inv_count(x) for x in reps]
 
-    def test_a_length_past_a_byte_raises(self, monkeypatch):
-        # with the cap lifted, W^J of Gr(n - 1, n) and of Gr(1, n) holds one
-        # element of each length 0..n - 1
+    def test_lengths_are_exact_past_a_byte(self, monkeypatch):
+        # with the cap lifted, W^J of Gr(n - 1, n) (a J-block, then a free
+        # position) and of Gr(1, n) (a free position, then a J-block) holds
+        # one element of each length 0..n - 1, in that order
         monkeypatch.setattr(weyl, "RANK_LIMIT", 257)
         try:
-            for J in (frozenset(range(1, 255)), frozenset(range(2, 256))):
-                reps, lengths = weyl._quotient_reps(256, J)
-                assert len(reps) == 256 and sorted(lengths) == list(range(256))
-            for J in (frozenset(range(1, 256)), frozenset(range(2, 257))):
-                with pytest.raises(ValueError, match="range"):
-                    weyl._quotient_reps(257, J)
+            for n in (256, 257):
+                for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
+                    reps, lengths = weyl._quotient_reps(n, J)
+                    assert len(reps) == n and lengths == tuple(range(n))
+                    assert {type(x) for x in lengths} == {int}
+                    assert oracles.inv_count(reps[-1]) == n - 1
         finally:
             # an entry listed past the real cap must not answer later calls
             weyl._quotient_reps.cache_clear()
-
-    # both orders: one translation per element of the shorter side
-    @pytest.mark.parametrize("a,b", [((0, 55), (200,)), ((200,), (0, 55))])
-    def test_outer_sum_fits_a_byte(self, a, b):
-        assert weyl._outer_sum(bytes(a), bytes(b), 255) == bytes((200, 255))
-
-    @pytest.mark.parametrize("a,b", [((0, 56), (200,)), ((200,), (0, 56))])
-    def test_outer_sum_past_a_byte_raises(self, a, b):
-        with pytest.raises(ValueError, match="range"):
-            weyl._outer_sum(bytes(a), bytes(b), 256)
 
 
 class TestLowerCovers:
