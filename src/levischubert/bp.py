@@ -21,8 +21,7 @@ runs :func:`toroidal.divisor_checks` on each image ``v`` in a maximal ``W^K``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import levi, toroidal, weyl
 from .weyl import Perm
@@ -32,8 +31,7 @@ DIVISOR = "unique-divisor"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class BPDecomposition:
+class BPDecomposition(NamedTuple):
     """A parabolic decomposition ``w = v * u``, validated by :func:`decompose`."""
 
     w: Perm
@@ -146,8 +144,7 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
 # transport of the toroidal necessary conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportStep:
+class TransportStep(NamedTuple):
     """One maximal coarsening ``K = Delta - {omitted}`` of the quotient."""
 
     omitted: int
@@ -168,8 +165,7 @@ class TransportStep:
         }
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     subject: Perm
     J: frozenset[int]
     levi: frozenset[int]

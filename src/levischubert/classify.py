@@ -10,14 +10,12 @@ nothing restates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import weyl
 
 
-@dataclass(frozen=True)
-class CaseFamily:
+class CaseFamily(NamedTuple):
     """One parameterized family: a marked Dynkin diagram with two adjacent
     fundamental weights, the pattern of the homogeneous space it produces,
     and the dimensions of a member ``(m, i)``."""
@@ -60,29 +58,33 @@ FAMILIES: tuple[CaseFamily, ...] = (
 _BY_TAG = {f.tag: f for f in FAMILIES}
 
 
-@dataclass(frozen=True)
-class HorosphericalCase:
-    """A concrete member of one of the three families; ``m`` and ``i``
-    become plain ints by :func:`weyl.require_int`."""
-
+class _CaseFields(NamedTuple):
     tag: str
     m: int
     i: Optional[int] = None
 
-    def __post_init__(self):
-        family = _BY_TAG.get(self.tag)
+
+class HorosphericalCase(_CaseFields):
+    """A concrete member of one of the three families; ``m`` and ``i``
+    become plain ints by :func:`weyl.require_int`."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, m: int, i: Optional[int] = None):
+        family = _BY_TAG.get(tag)
         if family is None:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        object.__setattr__(self, "m", weyl.require_int(self.m, "m"))
-        if self.i is not None:
-            object.__setattr__(self, "i", weyl.require_int(self.i, "i"))
-        if self.m < family.min_m:
-            raise ValueError(f"family {self.tag} requires m >= {family.min_m}")
+            raise ValueError(f"unknown family tag {tag!r}")
+        m = weyl.require_int(m, "m")
+        if i is not None:
+            i = weyl.require_int(i, "i")
+        if m < family.min_m:
+            raise ValueError(f"family {tag} requires m >= {family.min_m}")
         if not family.needs_i:
-            if self.i is not None:
-                raise ValueError(f"family {self.tag} takes no parameter i")
-        elif self.i is None or not 1 <= self.i <= self.m - 1:
-            raise ValueError(f"family {self.tag} requires 1 <= i <= m-1")
+            if i is not None:
+                raise ValueError(f"family {tag} takes no parameter i")
+        elif i is None or not 1 <= i <= m - 1:
+            raise ValueError(f"family {tag} requires 1 <= i <= m-1")
+        return super().__new__(cls, tag, m, i)
 
 
 def codim_at_least_two(case: HorosphericalCase) -> bool:
@@ -99,17 +101,15 @@ def iter_cases(max_m: int) -> Iterator[HorosphericalCase]:
     """Every valid parameterization with m up to ``max_m``, family by
     family in table order; ``max_m`` is read by :func:`weyl.require_int`.
 
-    The cases are built unchecked: the loop takes ``m >= min_m`` and ``i``
-    in ``1..m-1`` (or ``None``) from :data:`FAMILIES`, so every rule of
-    ``HorosphericalCase.__post_init__`` already holds.  Each case still
-    equals, hashes like and is as frozen as ``HorosphericalCase(tag, m, i)``.
+    The cases are built unchecked, by ``tuple.__new__``: the loop takes
+    ``m >= min_m`` and ``i`` in ``1..m-1`` (or ``None``) from
+    :data:`FAMILIES`, so every rule of ``HorosphericalCase.__new__`` already
+    holds.  Each case still equals, hashes like and is as immutable as
+    ``HorosphericalCase(tag, m, i)``.
     """
     max_m = weyl.require_int(max_m, "max_m")
     for family in FAMILIES:
         tag = family.tag
         for m in range(family.min_m, max_m + 1):
             for i in (range(1, m) if family.needs_i else (None,)):
-                case = object.__new__(HorosphericalCase)
-                fields = case.__dict__
-                fields["tag"], fields["m"], fields["i"] = tag, m, i
-                yield case
+                yield tuple.__new__(HorosphericalCase, (tag, m, i))

@@ -16,34 +16,40 @@ ends it quietly with 130, as SIGINT would.
 
 ``main`` reuses one parser per process, so the ``--check`` choices are the
 names in ``sweeps.SWEEPS`` when it first runs.
-``canonical_json`` encodes through one C encoder built at import, and a
-sweep writes each of its JSON lines with a single ``write``.  The encoder
-is CPython's ``_json`` accelerator; there is no pure-Python fallback, so an
-interpreter without it fails to import this module.
+``canonical_json`` and the text format encode through two C encoders
+built at import, and a sweep writes each of its JSON lines with a single
+``write``.  The encoders are CPython's ``_json`` accelerator, used without
+the ``json`` package; there is no pure-Python fallback, so an interpreter
+without it fails to import this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from _json import make_encoder
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii, make_encoder
 from typing import Optional, Sequence
 
 from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
 
 
-# The C encoder that ``json.dumps(obj, sort_keys=True, separators=(",",
-# ":"))`` would build on every call, built once.  Its markers argument is
-# None, so it keeps no circular-reference table: a shared one would keep the
-# ids a failed encode left in it and refuse a later encode of the same
-# objects as circular.
+def _refuse(obj):
+    """The default of both encoders: what JSON cannot hold is refused with
+    the ``TypeError`` that ``json.JSONEncoder.default`` raises."""
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+# The C encoders that ``json.dumps(obj, sort_keys=True, separators=(",",
+# ":"))`` and ``json.dumps(obj, sort_keys=True)`` would build on every call,
+# built once.  Their markers argument is None, so they keep no
+# circular-reference table: a shared one would keep the ids a failed encode
+# left in it and refuse a later encode of the same objects as circular.
 _C_ENCODE = make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None,
-    ":", ",", True, False, True)
+    None, _refuse, encode_basestring_ascii, None, ":", ",", True, False, True)
+_C_ENCODE_TEXT = make_encoder(
+    None, _refuse, encode_basestring_ascii, None, ": ", ", ", True, False, True)
 
 
 def canonical_json(obj) -> str:
@@ -56,7 +62,7 @@ def _emit(obj: dict, fmt: str) -> None:
         print(canonical_json(obj))
         return
     for key in sorted(obj):
-        print(f"{key}: {json.dumps(obj[key], sort_keys=True)}")
+        print(f"{key}: {''.join(_C_ENCODE_TEXT(obj[key], 0))}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,15 +3,18 @@ divisors by run, and the column pattern characterizing smoothness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import weyl
 from .weyl import Perm
 
 
-@dataclass(frozen=True)
-class GrassmannSchubert:
+class _GrassmannFields(NamedTuple):
+    d: int
+    w: Perm
+
+
+class GrassmannSchubert(_GrassmannFields):
     """Index of a Schubert variety in Gr(d, n).
 
     ``w`` is the minimal coset representative: increasing on the first
@@ -20,13 +23,11 @@ class GrassmannSchubert:
     of the complement.
     """
 
-    d: int
-    w: Perm
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, J = weyl.require_descent(self.d, weyl.require_rank(self.n))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "w", weyl.require_quotient(self.w, J)[0])
+    def __new__(cls, d: int, w: Perm):
+        d, J = weyl.require_descent(d, weyl.require_rank(len(w)))
+        return super().__new__(cls, d, weyl.require_quotient(w, J)[0])
 
     @property
     def n(self) -> int:
@@ -84,15 +85,12 @@ def is_smooth(x: GrassmannSchubert) -> bool:
 def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     """Every element of ``S_n^d``, in column lexicographic order.
 
-    ``n`` and ``d`` are checked once; each value is then built unchecked
-    from ``weyl._quotient_reps``, whose every ``w`` is in ``W^J``, and
-    equals ``GrassmannSchubert(d, w)``.
+    ``n`` and ``d`` are checked once; each value is then built unchecked,
+    by ``tuple.__new__``, from a ``w`` of ``weyl._quotient_reps``, whose
+    every ``w`` is in ``W^J``, and equals ``GrassmannSchubert(d, w)``.
     """
     n = weyl._check_rank(weyl.require_rank(n))  # before Delta - {d} is built
     d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
     for w in weyl._quotient_reps(n, J)[0]:
-        x = object.__new__(GrassmannSchubert)
-        fields = x.__dict__
-        fields["d"], fields["w"] = d, w
-        yield x
+        yield tuple.__new__(GrassmannSchubert, (d, w))

@@ -16,9 +16,8 @@ heads detect Levi orbits.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import weyl
 from .grassmann import GrassmannSchubert
@@ -165,8 +164,7 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
     return out
 
 
-@dataclass(frozen=True)
-class HeadReport:
+class HeadReport(NamedTuple):
     """Degree-1 heads below a reference element.
 
     ``heads`` is sorted by (length, lex), so their unique Bruhat-minimum

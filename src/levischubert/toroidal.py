@@ -12,8 +12,7 @@ yes`` verdict exists anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import grassmann, levi, weyl
 from .grassmann import GrassmannSchubert
@@ -27,8 +26,7 @@ PASSES = "passes-necessary"
 FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class DivisorCheck:
+class DivisorCheck(NamedTuple):
     """One Schubert divisor, whether it is Levi-stable, its criterion, and
     for a violation the minimal head inside it (``witness``)."""
 
@@ -38,8 +36,7 @@ class DivisorCheck:
     witness: Optional[Perm]
 
 
-@dataclass(frozen=True)
-class ToroidalReport:
+class ToroidalReport(NamedTuple):
     subject: GrassmannSchubert
     levi: frozenset[int]
     divisors: tuple[DivisorCheck, ...]

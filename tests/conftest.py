@@ -1,9 +1,19 @@
 """One hypothesis profile for the whole suite: examples are drawn from a
 seed fixed per test and no example database is replayed, so a verdict
-cannot change from one run to the next; no example is timed out."""
+cannot change from one run to the next; no example is timed out.
+
+What a passing test records with ``record_property`` is printed at the end
+of the run, as facts of the interpreter that the test reports but does not
+assert."""
 
 from hypothesis import settings
 
 settings.register_profile("levischubert", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("levischubert")
+
+
+def pytest_terminal_summary(terminalreporter):
+    for report in terminalreporter.stats.get("passed", ()):
+        for name, value in report.user_properties:
+            terminalreporter.write_line(f"{report.nodeid}: {name}: {value}")

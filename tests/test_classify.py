@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from levischubert import classify
@@ -43,8 +41,9 @@ class TestCases:
 
 
 class TestUncheckedCases:
-    """``iter_cases`` builds its cases without ``__post_init__``; each must
-    be the case the validating constructor builds."""
+    """``iter_cases`` builds its cases without the checks of
+    ``HorosphericalCase.__new__``; each must be the case the validating
+    constructor builds."""
 
     @staticmethod
     def validated(max_m):
@@ -59,24 +58,24 @@ class TestUncheckedCases:
         assert len(got) == len(want) == 59 + 1769 + 57
         for case, expected in zip(got, want):
             assert type(case) is HorosphericalCase
-            assert case.__dict__ == expected.__dict__
-            assert list(case.__dict__) == ["tag", "m", "i"]
+            assert tuple(case) == tuple(expected)
+            assert case._fields == ("tag", "m", "i")
             assert case == expected and hash(case) == hash(expected)
             assert type(case.m) is int and type(case.i) in (int, type(None))
 
     def test_frozen(self):
         case = next(classify.iter_cases(3))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             case.m = 7
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             case.i = 1
         assert case == HorosphericalCase("a", 2)
 
     def test_skips_the_validation(self, monkeypatch):
         calls = []
-        fn = HorosphericalCase.__post_init__
-        monkeypatch.setattr(HorosphericalCase, "__post_init__",
-                            lambda self: calls.append(1) or fn(self))
+        fn = HorosphericalCase.__new__
+        monkeypatch.setattr(HorosphericalCase, "__new__",
+                            lambda cls, *args: calls.append(1) or fn(cls, *args))
         assert len(list(classify.iter_cases(50))) == 49 + 1224 + 47
         assert calls == []
         HorosphericalCase("b", 4, 2)

@@ -1,5 +1,6 @@
 import argparse
-import dataclasses
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -21,6 +22,14 @@ def run_cli(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+#: JSON values as the package writes them: no floats, any unicode text
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
 
 
 class TestParsing:
@@ -262,14 +271,14 @@ MUTANTS = {
         levi, "_minimal_head", lambda f: lambda J, I, n: weyl.identity(n), 4),
     "singular-no-stable-divisor": (
         toroidal, "_divisor_checks", lambda f: lambda w, J, I: tuple(
-            dataclasses.replace(c, stable=True) for c in f(w, J, I)), 4),
+            c._replace(stable=True) for c in f(w, J, I)), 4),
     "bp-equivalence": (bp, "is_bp_support", lambda f: lambda d: True, 3),
     # every length doubled, so an image one dimension below v reads as two
     "projection-dichotomy": (weyl, "length", lambda f: lambda w: 2 * f(w), 4),
     "smooth-palindromic": (grassmann, "is_smooth", lambda f: lambda x: False, 4),
     # every family's orbits then fill the whole space
     "classify-codim": (classify, "_BY_TAG", lambda by_tag: {
-        tag: dataclasses.replace(f, dimensions=lambda m, i: (1, 1, 1))
+        tag: f._replace(dimensions=lambda m, i: (1, 1, 1))
         for tag, f in by_tag.items()}, 3),
 }
 
@@ -485,14 +494,28 @@ class TestJsonCanonical:
             for line in out.strip().splitlines():
                 assert cli.canonical_json(json.loads(line)) == line
 
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.text(max_size=4),
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-        max_leaves=20))
+    @given(JSON_VALUES)
     def test_same_bytes_as_dumps(self, obj):
         expected = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         assert cli.canonical_json(obj) == expected
+
+    @given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+    def test_text_format_same_bytes_as_dumps(self, obj):
+        # the text format's encoder has json.dumps's default separators
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(obj, "text")
+        assert out.getvalue() == "".join(
+            f"{key}: {json.dumps(obj[key], sort_keys=True)}\n" for key in sorted(obj))
+
+    def test_refuses_what_json_cannot_hold(self):
+        # both encoders raise json.JSONEncoder.default's error
+        message = "Object of type set is not JSON serializable"
+        with pytest.raises(TypeError, match=message):
+            cli.canonical_json({"b": {1}})
+        with pytest.raises(TypeError, match=message), \
+                contextlib.redirect_stdout(io.StringIO()):
+            cli._emit({"b": {1}}, "text")
 
     def test_no_state_left_by_a_failed_encode(self):
         # a shared circular-reference table would keep the ids of "a" and
@@ -510,3 +533,23 @@ class TestJsonCanonical:
         cli.main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestStartup:
+    #: the modules that importing the command line and building its parser
+    #: add to a fresh interpreter
+    ADDED = ("import sys; before = set(sys.modules); "
+             "import levischubert.cli as cli; cli.build_parser(); "
+             "print(*sorted(set(sys.modules) - before))")
+
+    def test_imports_neither_dataclasses_nor_json(self, record_property):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", self.ADDED], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        added = set(proc.stdout.split())
+        assert "levischubert.cli" in added  # the scan sees the import
+        assert not added & {"dataclasses", "json"}
+        # inspect is reported, not asserted: another stdlib may import it
+        # for its own reasons
+        record_property("imports inspect", "inspect" in added)

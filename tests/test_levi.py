@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -556,8 +555,7 @@ class TestHeadReportJson:
 
     def test_minimal_head_is_read_off_the_heads(self):
         # stored once: the report keeps the heads and the boundary only
-        assert [f.name for f in dataclasses.fields(levi.HeadReport)] == [
-            "heads", "maximal_proper_heads"]
+        assert levi.HeadReport._fields == ("heads", "maximal_proper_heads")
         report = levi.HeadReport(((1, 3, 2, 4), (3, 4, 1, 2)), ())
         assert report.minimal_head == (1, 3, 2, 4)
         assert levi.HeadReport((), ()).minimal_head is None

@@ -85,11 +85,16 @@ def is_function(obj):
 
 
 def is_member(name, attr):
-    """A method, property, classmethod or staticmethod, but not a dunder
-    method, which the language calls."""
+    """A method, property, classmethod or staticmethod written in the
+    package, but not a dunder method, which the language calls, nor one
+    that ``NamedTuple`` supplies (``_make``, ``_replace``, ``_asdict``),
+    whose code is in the standard library."""
     dunder = name.startswith("__") and name.endswith("__")
-    return not dunder and (isinstance(attr, (property, classmethod, staticmethod))
-                           or is_function(attr))
+    if dunder or not (isinstance(attr, (property, classmethod, staticmethod))
+                      or is_function(attr)):
+        return False
+    code = inspect.unwrap(getattr(attr, "fget", None) or getattr(attr, "__func__", attr))
+    return pathlib.Path(code.__code__.co_filename).resolve().parent == PACKAGE
 
 
 def uncalled(qualified_names):
