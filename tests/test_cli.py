@@ -542,7 +542,7 @@ class TestStartup:
              "import levischubert.cli as cli; cli.build_parser(); "
              "print(*sorted(set(sys.modules) - before))")
 
-    def test_imports_neither_dataclasses_nor_json(self, record_property):
+    def test_imports_neither_dataclasses_nor_json(self, report_fact):
         src = pathlib.Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run([sys.executable, "-c", self.ADDED], env=env,
@@ -552,4 +552,4 @@ class TestStartup:
         assert not added & {"dataclasses", "json"}
         # inspect is reported, not asserted: another stdlib may import it
         # for its own reasons
-        record_property("imports inspect", "inspect" in added)
+        report_fact("imports inspect", "inspect" in added)
