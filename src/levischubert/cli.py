@@ -14,8 +14,14 @@ self-check).  A reader that closes stdout early ends the run quietly with
 141, the status of a process killed by SIGPIPE; an interrupt (Ctrl-C)
 ends it quietly with 130, as SIGINT would.
 
-``main`` reuses one parser per process, so the ``--check`` choices are the
-names in ``sweeps.SWEEPS`` when it first runs.
+``main`` builds its parsers once per process, so the ``--check`` choices
+are the names in ``sweeps.SWEEPS`` when it first runs.  An argv whose first
+word names a subcommand is parsed by that subcommand's parser alone, and
+the top-level parser refuses what it leaves over as unrecognized
+arguments; any other argv (empty, ``-h``, an unknown name, an option
+first) goes to the top-level parser.  Either way the result, the messages
+and the exit codes are those of ``build_parser().parse_args``, which would
+scan every argument twice.
 ``canonical_json`` and the text format encode through two C encoders
 built at import, and a sweep writes each of its JSON lines with a single
 ``write``.  The encoders are CPython's ``_json`` accelerator, used without
@@ -66,6 +72,12 @@ def _emit(obj: dict, fmt: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser and its ``add_subparsers`` action, whose ``choices`` map
+    each subcommand's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="levischubert",
         description="Levi actions on type A Schubert varieties.")
@@ -123,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=1000)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    return parser
+    return parser, sub
 
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
@@ -247,15 +259,30 @@ def _cmd_classify(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, called once per process."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of ``build_parser()`` and each subcommand's parser by
+    name, built once per process."""
+    parser, sub = _build()
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with each argument scanned once
+    when ``argv[0]`` names a subcommand: the top-level parser would hand all
+    of ``argv[1:]`` to that subcommand's parser after scanning it itself."""
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

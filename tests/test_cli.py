@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -423,13 +424,15 @@ class TestSweep:
 
 class TestSharedParser:
     def test_built_once_per_process(self, monkeypatch):
-        built = []
+        built, subcommands = [], []
         init = argparse.ArgumentParser.__init__
 
         def counting(self, *args, **kwargs):
             init(self, *args, **kwargs)
             if self.prog == "levischubert":
                 built.append(self)
+            elif self.prog.startswith("levischubert "):
+                subcommands.append(self.prog)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         # start from an empty cache, as a new process does
         cli._parser.cache_clear()
@@ -441,9 +444,154 @@ class TestSharedParser:
             ["sweep", "--check", "head-oracle", "--max-n", "3"],
             ["classify", "--max-m", "5"],
             ["analyze", "--n", "4"],
+            ["analyze", "--n", "4", "--w", "3,4,1,2", "--bogus"],
+            [],
         ):
             cli.main(argv)
         assert len(built) == 1
+        assert sorted(subcommands) == [f"levischubert {name}" for name in (
+            "analyze", "bp", "classify", "heads", "sweep", "toroidal")]
+
+
+GOLDEN_ARGVS = [entry["argv"] for entry in json.loads(
+    pathlib.Path(__file__).with_name("golden_cli.json").read_text())]
+
+
+def query_argv(rng):
+    """A command line shaped like a query: a subcommand and its flags in any
+    order, each now and then written ``--flag=value`` or abbreviated, and
+    now and then a flag missing or doubled, an unknown option, a stray word,
+    a ``--``, a ``-h`` or a word before the subcommand."""
+    n = rng.randint(1, 8)
+    w = ",".join(map(str, rng.sample(range(1, n + 1), n)))
+
+    def indices():
+        return ",".join(str(i) for i in range(1, n) if rng.random() < 0.4)
+
+    d = ["--d", str(rng.randint(-1, n))]
+    command = rng.choice(("analyze", "heads", "toroidal", "bp", "sweep", "classify"))
+    if command in ("analyze", "heads"):
+        flags = [["--n", str(n)], ["--w", w], ["--levi", indices()],
+                 rng.choice((d, ["--parabolic", indices()]))]
+    elif command == "toroidal":
+        flags = [["--n", str(n)], ["--w", w], d, ["--levi", indices()]]
+    elif command == "bp":
+        flags = [["--n", str(n)], ["--w", w], ["--parabolic", indices()],
+                 rng.choice((d, ["--quotient", indices()]))]
+    elif command == "sweep":
+        flags = [["--check", rng.choice(sorted(sweeps.SWEEPS) + ["nonsense"])],
+                 ["--max-n", str(rng.randint(1, 4))]]
+    else:
+        flags = [["--max-m", str(rng.randint(-2, 30))]]
+    if rng.random() < 0.5:
+        flags.append(["--format", rng.choice(("json", "text", "yaml"))])
+    if rng.random() < 0.15:
+        del flags[rng.randrange(len(flags))]
+    if rng.random() < 0.15:
+        flags.append(rng.choice(flags or [d])[:])
+    rng.shuffle(flags)
+    for flag in flags:
+        if rng.random() < 0.1:
+            flag[:] = [f"{flag[0]}={flag[1]}"]
+        elif rng.random() < 0.1:
+            flag[0] = flag[0][:rng.randint(3, len(flag[0]))]
+    argv = [command] + [word for flag in flags for word in flag]
+    for extra in (["--bogus"], ["--bogus", "x"], ["-x"], ["extra"], ["--"], ["-h"]):
+        if rng.random() < 0.06:
+            at = rng.randint(1, len(argv))
+            argv[at:at] = extra
+    if rng.random() < 0.05:
+        argv.pop()  # a flag may lose its value
+    if rng.random() < 0.04:
+        argv.insert(0, rng.choice(("--bogus", "-h", "analyse")))
+    return argv
+
+
+def outcome(parse, argv):
+    """What ``parse(argv)`` returns, or the code it exits with, then what
+    it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """``main`` sends an argv that starts with a subcommand's name straight
+    to that subcommand's parser; the namespace, the messages and the exit
+    codes must be those of the one parser ``build_parser`` returns."""
+
+    @pytest.fixture
+    def both_routes(self, monkeypatch):
+        # argparse wraps its usage and help text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        reference = cli.build_parser().parse_args
+        return lambda argv: (outcome(cli._parse, argv), outcome(reference, argv))
+
+    def test_golden_argvs(self, both_routes):
+        for argv in GOLDEN_ARGVS:
+            dispatched, reference = both_routes(argv)
+            assert dispatched == reference, argv
+
+    def test_sampled_query_argvs(self, both_routes):
+        rng = random.Random(33)
+        results = []
+        for _ in range(600):
+            argv = query_argv(rng)
+            dispatched, reference = both_routes(argv)
+            assert dispatched == reference, argv
+            results.append(dispatched)
+        # the sample reaches every route: parsed namespaces, errors of a
+        # subcommand's parser and of the top-level one, and help
+        namespaces = [r for r, _, _ in results if isinstance(r, argparse.Namespace)]
+        assert {args.command for args in namespaces} == {
+            "analyze", "heads", "toroidal", "bp", "sweep", "classify"}
+        errors = [err for r, _, err in results if r == ("exit", 2)]
+        assert any(e.startswith("usage: levischubert [-h]") for e in errors)
+        assert any(e.startswith("usage: levischubert analyze") for e in errors)
+        assert any(r == ("exit", 0) and out for r, out, _ in results)
+
+    # errors the golden corpus does not hold
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "4", "--w", "3,4,1,2", "--bogus"],
+        ["heads", "--n", "4", "--w", "3,4,1,2", "--", "--levi", "2"],
+        ["bp", "--n", "4", "--w", "1,3,4,2", "--d"],
+        ["toroidal", "--n", "4", "--d", "2", "--w", "1,4,2,3", "--le=2", "-x"],
+        ["classify", "--max-m", "5", "--format", "yaml"],
+        ["--bogus", "analyze"],
+    ], ids=" ".join)
+    def test_errors_alike(self, both_routes, argv):
+        (result, out, err), reference = both_routes(argv)
+        assert (result, out) == (("exit", 2), "")
+        assert err.startswith("usage: levischubert")
+        assert (result, out, err) == reference
+
+    @pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"]], ids=" ".join)
+    def test_help_alike(self, both_routes, argv):
+        (result, out, err), reference = both_routes(argv)
+        assert (result, err) == (("exit", 0), "")
+        assert out.startswith(f"usage: levischubert {' '.join(argv[:-1])}".rstrip())
+        assert (result, out, err) == reference
+
+    def test_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2"]
+        expected = run_cli(capsys, *argv)
+        # the command line of a console script is dispatched too: the
+        # top-level parse_args never runs on it
+        top_level = []
+        parse_args = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *a: top_level.append(a) or parse_args(self, *a))
+        monkeypatch.setattr(sys, "argv", ["levischubert", *argv])
+        assert (cli.main(), *capsys.readouterr()) == expected
+        assert top_level == []
+        monkeypatch.setattr(sys, "argv", ["levischubert"])
+        code, out, err = cli.main(), *capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: command\n")
 
 
 class TestInternalError:
