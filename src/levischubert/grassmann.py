@@ -92,5 +92,5 @@ def all_grassmann(n: int, d: int) -> Iterator[GrassmannSchubert]:
     n = weyl._check_rank(weyl.require_rank(n))  # before Delta - {d} is built
     d, J = weyl.require_descent(d, n)
     # S_n^d is W^J for J every index but d; its lex order is column order
-    for w in weyl._quotient_reps(n, J)[0]:
+    for w in weyl._quotient_reps(n, J):
         yield tuple.__new__(GrassmannSchubert, (d, w))

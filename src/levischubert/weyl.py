@@ -24,6 +24,7 @@ It holds no Levi code: head enumeration lives in :mod:`levischubert.levi`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -258,45 +259,28 @@ def _longest_element(J: frozenset[int], n: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _quotient_reps(n: int, J: frozenset[int]) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
-    """``W^J`` in lex order, and each element's length in a parallel tuple."""
+def _quotient_reps(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
+    """``W^J`` in lex order."""
     _check_rank(n)
     sizes = [hi - lo + 1 for lo, hi in _position_blocks(J, n)]
     # a trailing run of free positions (blocks of one) is unconstrained and
     # takes every permutation of the values left; a last J-block takes them
     # sorted; every block before either draws an increasing selection
     free = next((k for k, size in enumerate(reversed(sizes)) if size > 1), len(sizes))
-    head = len(sizes) - max(free, 1)
-    # fixed-length prefixes, each paired with its unused values, in lex
-    # order, and per block the inversions each of its choices adds
+    # fixed-length prefixes, each paired with its unused values, in lex order
     level: list[tuple[Perm, Perm]] = [((), tuple(range(1, n + 1)))]
-    steps: list[list[int]] = []
     m = n
-    for i, size in enumerate(sizes):
-        # taking indices c_1 < ... < c_s of the unused values leaves
-        # c_k - (k - 1) smaller ones to the right of the k-th; a free
-        # position's choices are its Lehmer-code digits
-        steps.append([sum(c) - size * (size - 1) // 2
-                      for c in itertools.combinations(range(m), size)])
-        if i < head:
-            # complements run in the reverse lex order of their own
-            # combinations
-            level = [(prefix + chosen, rest) for prefix, unused in level
-                     for chosen, rest in zip(
-                         itertools.combinations(unused, size),
-                         reversed(tuple(itertools.combinations(unused, m - size))))]
+    for size in sizes[:len(sizes) - max(free, 1)]:
+        # complements run in the reverse lex order of their own combinations
+        level = [(prefix + chosen, rest) for prefix, unused in level
+                 for chosen, rest in zip(
+                     itertools.combinations(unused, size),
+                     reversed(tuple(itertools.combinations(unused, m - size))))]
         m -= size
-    # a length sums one increment per block, the first block outermost;
-    # folding from the last block keeps the partial lists short
-    lengths = [0]
-    for step in reversed(steps):
-        lengths = [a + b for a in step for b in lengths]
     if free:
-        reps = [prefix + tail for prefix, rest in level
-                for tail in itertools.permutations(rest)]
-    else:
-        reps = [prefix + rest for prefix, rest in level]
-    return tuple(reps), tuple(lengths)
+        return tuple(prefix + tail for prefix, rest in level
+                     for tail in itertools.permutations(rest))
+    return tuple(prefix + rest for prefix, rest in level)
 
 
 def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
@@ -309,17 +293,11 @@ def quotient_reps(n: int, J: Iterable[int] = ()) -> tuple[Perm, ...]:
     proportional to ``|W^J|``.  Ranks above :data:`RANK_LIMIT` are still
     refused, however small the quotient.
 
-    The listing also gives each element's length as a plain ``int``, and
-    :func:`poincare_polynomial` reads those lengths: a block taking the
-    unused values at indices ``c_1 < ... < c_s`` adds
-    ``sum(c_k) - s(s - 1)/2`` inversions, so a free position adds its
-    Lehmer-code digit, and a length is one such sum per block.
-
     >>> quotient_reps(3, {1})
     ((1, 2, 3), (1, 3, 2), (2, 3, 1))
     """
     n = require_rank(n)
-    return _quotient_reps(n, require_indices(J, n))[0]
+    return _quotient_reps(n, require_indices(J, n))
 
 
 # uncalled; kept because bench/worker.py reads its cache counters by name
@@ -393,10 +371,86 @@ def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
                 out = poly_mul(out, _poincare(block, frozenset(
                     j - lo + 1 for j in J if lo <= j < hi)))
         return out
-    coeffs = [0] * (length(w) + 1)
-    for x, ell in zip(*_quotient_reps(n, J)):
-        if bruhat_leq(x, w):
-            coeffs[ell] += 1
+    return _prefix_dp(w, J)
+
+
+def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
+    """Poincare polynomial of ``w`` in ``W^J`` by a DP over prefix sets,
+    at any rank: the core behind :func:`poincare_polynomial`'s full-support
+    path.
+
+    An ``x`` in ``W^J`` increases on each position block of ``J``, so it is
+    the chain of its prefix sets ``{x_1..x_e}`` at the block ends ``e``.
+    By the tableau criterion read at those ends (Bjorner-Brenti, Sec. 2.6),
+    ``x <= w`` iff at every end ``e < n`` that set lies below
+    ``{w_1..w_e}`` in Gale order, and a block that takes the unused values
+    at indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2``
+    inversions.  A state is the bitmask of the values used so far; it
+    carries its unused values and its polynomial, packed into one int with
+    a slot per coefficient wide enough for ``n!`` (Kronecker substitution).
+    The last block takes the values left, sorted, and adds nothing.
+
+    A one-position block takes only the admissible values: with ``G(v)``
+    the number of values ``<= v`` outside ``{w_1..w_e}``, the ``c``-th
+    unused value ``u_c`` is admissible iff ``G(u_k) > k`` for every
+    ``k < c``.  A longer block tests each new state once, by
+    :func:`bruhat_leq` on the Grassmannian projections of the two prefix
+    sets.  At most ``2^n`` states, each with at most ``n`` choices per
+    one-position block: nothing in ``W^J`` is listed."""
+    n = len(w)
+    values = range(1, n + 1)
+    slot = math.factorial(n).bit_length()
+    polys, rests = {0: 1}, {0: tuple(values)}
+    for lo, hi in _position_blocks(J, n)[:-1]:
+        new_polys: dict[int, int] = {}
+        new_rests: dict[int, Perm] = {}
+        if lo == hi:
+            prefix = set(w[:hi])
+            outside = list(itertools.accumulate(
+                (v not in prefix for v in values), initial=0))
+            for mask, poly in polys.items():
+                unused = rests[mask]
+                for c, v in enumerate(unused):
+                    m = mask | 1 << v
+                    if m not in new_polys:
+                        new_polys[m] = 0
+                        new_rests[m] = unused[:c] + unused[c + 1:]
+                    new_polys[m] += poly << c * slot
+                    if outside[v] <= c:
+                        break
+        else:
+            size = hi - lo + 1
+            least = size * (size - 1) // 2
+            top = tuple(sorted(w[:hi])) + tuple(sorted(w[hi:]))
+            everything = set(values)
+            dead = set()
+            for mask, poly in polys.items():
+                unused = rests[mask]
+                k = len(unused)
+                # complements run in the reverse lex order of their own
+                # combinations
+                for chosen, bits, rest in zip(
+                        itertools.combinations(range(k), size),
+                        itertools.combinations([1 << v for v in unused], size),
+                        reversed(tuple(itertools.combinations(unused, k - size)))):
+                    m = mask | sum(bits)
+                    if m not in new_polys:
+                        if m in dead:
+                            continue
+                        used = tuple(sorted(everything.difference(rest)))
+                        if not bruhat_leq(used + rest, top):
+                            dead.add(m)
+                            continue
+                        new_polys[m] = 0
+                        new_rests[m] = rest
+                    new_polys[m] += poly << (sum(chosen) - least) * slot
+        polys, rests = new_polys, new_rests
+    total = sum(polys.values())
+    coeffs = []
+    full = (1 << slot) - 1
+    while total:
+        coeffs.append(total & full)
+        total >>= slot
     return tuple(coeffs)
 
 
@@ -454,10 +508,11 @@ def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     block of ``S``.  Its part of ``W^J`` is the product of the quotients
     of those blocks, with lengths adding, so the polynomial is the product
     of the blocks' polynomials, each with ``J`` restricted to the block.
-    Only a ``w`` of full support is tested against every element of
-    ``W^J``: one Bruhat test per element, each length read as a plain
-    ``int`` off the listing of :func:`quotient_reps` rather than counted
-    again.  Ranks above :data:`RANK_LIMIT` are refused on every path.
+    A ``w`` of full support goes to a DP over the prefix sets of ``W^J``
+    at the block ends of ``J`` (:func:`_prefix_dp`): at most ``2^n``
+    states, and at most one Bruhat test per state, with no element of
+    ``W^J`` listed.  Ranks above :data:`RANK_LIMIT` are refused on every
+    path.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)

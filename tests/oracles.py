@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: lengths come from BFS
 or double loops, Bruhat comparisons from subwords of a reduced word or from
 rank counts, coset representatives from enumerating the arrangements of
 each position block, the Billey-Postnikov maximality from scans over whole
-parabolic subgroups, the Levi stabilizer from coset lengths, left
+parabolic subgroups, Poincare polynomials from scans of the whole
+quotient, the Levi stabilizer from coset lengths, left
 descents from the inversion counts of value swaps, the degree-1 heads
 from scans of the subword interval, and Grassmann permutations written
 down from their column sets.
@@ -13,6 +14,7 @@ down from their column sets.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from functools import lru_cache
 
@@ -215,10 +217,15 @@ def covers_by_length(w, J):
 @lru_cache(maxsize=None)
 def rank_matrix(w):
     """Entry (i, j), for 1 <= i < n and 2 <= j <= n: how many of w(1..i)
-    are >= j."""
+    are >= j, counted as each prefix grows by one entry."""
     n = len(w)
-    return tuple(sum(1 for x in w[:i] if x >= j)
-                 for i in range(1, n) for j in range(2, n + 1))
+    at_least = [0] * (n + 1)  # at_least[j]: entries of the prefix >= j
+    out = []
+    for x in w[:-1]:
+        for j in range(1, x + 1):
+            at_least[j] += 1
+        out += at_least[2:]
+    return tuple(out)
 
 
 def rank_leq(u, w):
@@ -226,6 +233,25 @@ def rank_leq(u, w):
     prefix length i and threshold j, at most as many of u(1..i) as of
     w(1..i) are >= j."""
     return all(a <= b for a, b in zip(rank_matrix(tuple(u)), rank_matrix(tuple(w))))
+
+
+@lru_cache(maxsize=16)
+def _graded_quotient(n, J):
+    """Each element of W^J as its rank matrix and inversion count; the
+    matrices bypass rank_matrix's unbounded memo."""
+    return tuple((rank_matrix.__wrapped__(x), inv_count(x)) for x in quotient_perms(n, J))
+
+
+def poincare_scan(w, J):
+    """The Poincare polynomial of w in W^J by a scan: every element of W^J
+    tested against w by the rank criterion and graded by its inversion
+    count."""
+    top = rank_matrix(tuple(w))
+    coeffs = [0] * (inv_count(w) + 1)
+    for ranks, ell in _graded_quotient(len(w), frozenset(J)):
+        if all(map(operator.le, ranks, top)):
+            coeffs[ell] += 1
+    return tuple(coeffs)
 
 
 def bp_maximal_scan(w, J, K, u):

@@ -214,32 +214,25 @@ class TestQuotientReps:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_lengths_match_inversion_count(self, n):
+        # every listed element lies below the top of W^J, so the prefix-set
+        # DP at the top grades the whole listing: its per-block rule,
+        # sum(c_k) - s(s - 1)/2, must give each element its inversion count
         for J in oracles.subsets(range(1, n)):
-            reps, lengths = weyl._quotient_reps(n, J)
-            assert type(lengths) is tuple and {type(x) for x in lengths} == {int}
-            assert list(lengths) == [oracles.inv_count(x) for x in reps], J
+            assert weyl._prefix_dp(top_of(n, J), J) == graded(weyl.quotient_reps(n, J)), J
 
     @settings(max_examples=20)
     @given(st.frozensets(st.integers(min_value=1, max_value=7)))
     def test_lengths_match_inversion_count_at_rank_8(self, J):
-        reps, lengths = weyl._quotient_reps(8, J)
-        assert list(lengths) == [oracles.inv_count(x) for x in reps]
+        assert weyl._prefix_dp(top_of(8, J), J) == graded(weyl.quotient_reps(8, J))
 
-    def test_lengths_are_exact_past_a_byte(self, monkeypatch):
-        # with the cap lifted, W^J of Gr(n - 1, n) (a J-block, then a free
-        # position) and of Gr(1, n) (a free position, then a J-block) holds
-        # one element of each length 0..n - 1, in that order
-        monkeypatch.setattr(weyl, "RANK_LIMIT", 257)
-        try:
-            for n in (256, 257):
-                for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
-                    reps, lengths = weyl._quotient_reps(n, J)
-                    assert len(reps) == n and lengths == tuple(range(n))
-                    assert {type(x) for x in lengths} == {int}
-                    assert oracles.inv_count(reps[-1]) == n - 1
-        finally:
-            # an entry listed past the real cap must not answer later calls
-            weyl._quotient_reps.cache_clear()
+    def test_lengths_are_exact_past_a_byte(self):
+        # the DP has no rank cap: W^J of Gr(n - 1, n) (a J-block, then a
+        # free position) and of Gr(1, n) (a free position, then a J-block)
+        # holds one element of each length 0..n - 1, so the polynomial of
+        # its top has n coefficients 1, with exponents past 255
+        for n in (256, 257):
+            for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
+                assert weyl._prefix_dp(top_of(n, J), J) == (1,) * n
 
 
 class TestLowerCovers:
@@ -358,22 +351,31 @@ class TestPoincare:
         assert all(m < n for m in scanned)
 
     @staticmethod
-    def scan(w, J):
+    def dp(w, J):
         """``poincare_polynomial(w, J)``, cold, for a ``w`` of full support
         in a ``W^J`` whose ``J`` omits two or more indices: neither the
-        Young-diagram count nor the support split answers, so ``W^J`` is
-        scanned, each element's length read off its listing."""
-        scanned = []
-        fn = weyl._quotient_reps
+        Young-diagram count nor the support split answers, so the prefix-set
+        DP does.  It lists no ``W^J``, and it makes at most one Bruhat test
+        per prefix set: no comparison repeats, and each one compares the
+        Grassmannian projections of two prefix sets of one size."""
+        listed, tests = [], []
+        fn, leq = weyl._quotient_reps, weyl.bruhat_leq
         weyl._poincare.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(weyl, "_quotient_reps",
-                           lambda m, L: scanned.append(m) or fn(m, L))
+                           lambda *a: listed.append(a) or fn(*a))
+                mp.setattr(weyl, "bruhat_leq",
+                           lambda u, v: tests.append((u, v)) or leq(u, v))
                 got = weyl.poincare_polynomial(w, J)
         finally:
             weyl._poincare.cache_clear()
-        assert scanned == [len(w)]
+        assert listed == []
+        assert len(set(tests)) == len(tests) <= 2 ** len(w)
+        for u, v in tests:
+            # full support: no prefix of w is {1..e}, so v descends at e
+            assert len(weyl.right_descents(v)) == 1
+            assert weyl.right_descents(u) <= weyl.right_descents(v)
         return got
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -383,7 +385,7 @@ class TestPoincare:
                 continue
             for w in oracles.quotient_perms(n, J):
                 if full_support(w):
-                    assert self.scan(w, J) == interval_count(w, J), (w, J)
+                    assert self.dp(w, J) == interval_count(w, J), (w, J)
 
     @settings(max_examples=40)
     @given(st.data())
@@ -395,10 +397,12 @@ class TestPoincare:
         x = data.draw(st.permutations(range(1, n + 1)), label="x")
         w = weyl.min_coset_rep(tuple(x), J)
         assume(full_support(w))
-        assert self.scan(w, J) == interval_count(w, J)
+        assert self.dp(w, J) == interval_count(w, J)
 
     def test_one_length_and_one_bruhat_test_per_element(self, monkeypatch):
-        # the slowest bp query's w: 1,260 elements of W^J, 672 below w
+        # the slowest bp query's w: 1,260 elements of W^J, 672 below w,
+        # which the scan tested one by one; the DP counts no inversions and
+        # tests the 21 prefix sets of the first block and the 7 of the fourth
         w, J = (4, 6, 5, 7, 2, 3, 1), frozenset({1, 5})
         calls = {"length": 0, "bruhat_leq": 0}
         for name in calls:
@@ -408,10 +412,62 @@ class TestPoincare:
                 calls[name] += 1
                 return fn(*a)
             monkeypatch.setattr(weyl, name, counted)
-        got = self.scan(w, J)
+        got = self.dp(w, J)
         assert got == interval_count(w, J) and sum(got) == 672
         assert len(oracles.quotient_perms(7, J)) == 1260
-        assert calls == {"length": 1, "bruhat_leq": 1260}
+        assert calls == {"length": 0, "bruhat_leq": 28}
+
+    @pytest.mark.parametrize("n,count", [(3, 3), (4, 29), (5, 261), (6, 2569)])
+    def test_dp_matches_scan_oracle_exhaustively(self, n, count):
+        # every (w, J) that reaches the DP through poincare_polynomial
+        pairs = [(w, J) for J in oracles.subsets(range(1, n)) if len(J) <= n - 3
+                 for w in oracles.quotient_perms(n, J) if full_support(w)]
+        assert len(pairs) == count
+        for w, J in pairs:
+            assert weyl._prefix_dp(w, J) == oracles.poincare_scan(w, J), (w, J)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_dp_matches_scan_oracle_at_ranks_7_8(self, data):
+        # any w of W^J: the DP answers whatever the support or J
+        n = data.draw(st.integers(7, 8), label="n")
+        size = data.draw(st.integers(0, n - 1), label="|J|")
+        J = data.draw(st.frozensets(st.integers(1, n - 1), min_size=size, max_size=size),
+                      label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        w = weyl.min_coset_rep(tuple(x), J)
+        assert weyl._prefix_dp(w, J) == oracles.poincare_scan(w, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_block_end_prefixes_decide_bruhat_order(self, n):
+        # the criterion the DP reads: x <= w in W^J iff at each block end
+        # e < n the prefix set of x lies below that of w in Gale order, and
+        # Gale order is bruhat_leq on the Grassmannian projections
+        for J in oracles.subsets(range(1, n)):
+            ends = [e for e in range(1, n) if e not in J]
+            quotient = oracles.quotient_perms(n, J)
+            for x, w in itertools.product(quotient, repeat=2):
+                gale = [gale_leq(x[:e], w[:e]) for e in ends]
+                assert gale == [weyl.bruhat_leq(projection(x, e), projection(w, e))
+                                for e in ends]
+                assert weyl.bruhat_leq(x, w) == all(gale), (x, w, J)
+
+    @pytest.mark.parametrize("w,J", [
+        ((8, 7, 6, 5, 4, 3, 2, 1), ()),
+        ((8, 6, 7, 3, 4, 1, 5, 2), ()),
+        # the top of W^J
+        ((8, 7, 6, 3, 4, 5, 2, 1), {4, 5}),
+    ])
+    def test_rank_8_rows_match_scan_oracle(self, w, J):
+        assert weyl.poincare_polynomial(w, J) == oracles.poincare_scan(w, J)
+
+    def test_reaches_past_the_cap_through_the_core(self):
+        # w0 at n = 12 gives [1]_q [2]_q ... [12]_q; RANK_LIMIT still holds
+        # for poincare_polynomial
+        expected = (1,)
+        for k in range(1, 13):
+            expected = weyl.poly_mul(expected, (1,) * k)
+        assert weyl._prefix_dp(tuple(range(12, 0, -1)), frozenset()) == expected
 
 
 class TestGrassmannPoincare:
@@ -469,6 +525,30 @@ def interval_count(w, J):
         if not any(x[j - 1] > x[j] for j in J):
             coeffs[oracles.inv_count(x)] += 1
     return tuple(coeffs)
+
+
+def top_of(n, J):
+    """The longest element of W^J: w0 with each position block sorted."""
+    return tuple(v for block in oracles.position_block_lists(J, n)
+                 for v in sorted(n + 1 - p for p in block))
+
+
+def graded(elements):
+    """Counts of ``elements`` by inversion count, as a coefficient tuple."""
+    coeffs = [0] * (max(map(oracles.inv_count, elements)) + 1)
+    for x in elements:
+        coeffs[oracles.inv_count(x)] += 1
+    return tuple(coeffs)
+
+
+def gale_leq(a, b):
+    """Two sets of one size, sorted, lie entrywise below each other."""
+    return all(p <= q for p, q in zip(sorted(a), sorted(b)))
+
+
+def projection(x, e):
+    """The Grassmannian element whose first ``e`` entries are ``x``'s."""
+    return tuple(sorted(x[:e])) + tuple(sorted(x[e:]))
 
 
 def full_support(w):
