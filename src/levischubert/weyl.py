@@ -375,28 +375,21 @@ def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
 
 
 def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
-    """Poincare polynomial of ``w`` in ``W^J`` by a DP over prefix sets,
-    at any rank: the core behind :func:`poincare_polynomial`'s full-support
-    path.
+    """Poincare polynomial of ``w`` in ``W^J`` by a DP over prefix sets; it
+    lists nothing in ``W^J`` and has no rank cap.
 
-    An ``x`` in ``W^J`` increases on each position block of ``J``, so it is
-    the chain of its prefix sets ``{x_1..x_e}`` at the block ends ``e``.
-    By the tableau criterion read at those ends (Bjorner-Brenti, Sec. 2.6),
-    ``x <= w`` iff at every end ``e < n`` that set lies below
-    ``{w_1..w_e}`` in Gale order, and a block that takes the unused values
-    at indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2``
-    inversions.  A state is the bitmask of the values used so far; it
-    carries its unused values and its polynomial, packed into one int with
-    a slot per coefficient wide enough for ``n!`` (Kronecker substitution).
-    The last block takes the values left, sorted, and adds nothing.
-
-    A one-position block takes only the admissible values: with ``G(v)``
-    the number of values ``<= v`` outside ``{w_1..w_e}``, the ``c``-th
-    unused value ``u_c`` is admissible iff ``G(u_k) > k`` for every
-    ``k < c``.  A longer block tests each new state once, by
-    :func:`bruhat_leq` on the Grassmannian projections of the two prefix
-    sets.  At most ``2^n`` states, each with at most ``n`` choices per
-    one-position block: nothing in ``W^J`` is listed."""
+    An ``x`` in ``W^J`` is the chain of its prefix sets at the block ends of
+    ``J``.  By the tableau criterion (Bjorner-Brenti, Sec. 2.6), ``x <= w``
+    iff at each end ``e < n`` the set ``{x_1..x_e}`` lies below
+    ``{w_1..w_e}`` in Gale order, and a block taking the unused values at
+    indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2`` inversions;
+    the last block adds none.  A state is the bitmask of the values used;
+    it carries its unused values and its polynomial, packed into one int
+    with a slot per coefficient wide enough for ``n!``.  A one-position
+    block takes the ``c``-th unused value ``u_c`` iff ``G(u_k) > k`` for
+    every ``k < c``, where ``G(v)`` counts the values ``<= v`` outside
+    ``{w_1..w_e}``.  A longer block tests each new state once, by
+    :func:`bruhat_leq` on the Grassmannian projections of the two sets."""
     n = len(w)
     values = range(1, n + 1)
     slot = math.factorial(n).bit_length()
