@@ -355,11 +355,6 @@ def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
 def _poincare(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     n = len(w)
     _check_rank(n)
-    if len(J) == n - 2:
-        # J omits one index d: W^J is Gr(d, n), and w's first d entries
-        # are its sorted columns
-        d = next(i for i in range(1, n) if i not in J)
-        return _grassmann_poincare(w[:d])
     S = support(w)
     if len(S) < n - 1:
         # every x <= w lies in W_S, a product of the symmetric groups of the
@@ -385,22 +380,30 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2`` inversions;
     the last block adds none.  A state is the bitmask of the values used;
     it carries its unused values and its polynomial, packed into one int
-    with a slot per coefficient wide enough for ``n!``.  A one-position
-    block takes the ``c``-th unused value ``u_c`` iff ``G(u_k) > k`` for
-    every ``k < c``, where ``G(v)`` counts the values ``<= v`` outside
-    ``{w_1..w_e}``.  A longer block tests each new state once, by
-    :func:`bruhat_leq` on the Grassmannian projections of the two sets."""
+    with a slot per coefficient wide enough for ``n!``.  Gale order at
+    ``e`` bounds ``c_k`` by the first ``c`` with ``c + 1 - G(u_c) >= k``,
+    where ``u_c`` is the ``c``-th unused value and ``G(v)`` counts the
+    values ``<= v`` outside ``{w_1..w_e}``.  A one-position block reads
+    that bound; a longer one tests each new state once, by
+    :func:`bruhat_leq` on the Grassmannian projections of the two sets.
+    The last block processed builds no states: it multiplies each state's
+    polynomial by the count of its choices (:func:`_diagram_count`)."""
     n = len(w)
     values = range(1, n + 1)
     slot = math.factorial(n).bit_length()
     polys, rests = {0: 1}, {0: tuple(values)}
-    for lo, hi in _position_blocks(J, n)[:-1]:
+    blocks = _position_blocks(J, n)[:-1]
+    if not blocks:
+        return (1,)
+    for lo, hi in blocks:
+        prefix = set(w[:hi])
+        outside = list(itertools.accumulate(
+            (v not in prefix for v in values), initial=0))
+        if hi == blocks[-1][1]:
+            break
         new_polys: dict[int, int] = {}
         new_rests: dict[int, Perm] = {}
         if lo == hi:
-            prefix = set(w[:hi])
-            outside = list(itertools.accumulate(
-                (v not in prefix for v in values), initial=0))
             for mask, poly in polys.items():
                 unused = rests[mask]
                 for c, v in enumerate(unused):
@@ -438,7 +441,19 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
                         new_rests[m] = rest
                     new_polys[m] += poly << (sum(chosen) - least) * slot
         polys, rests = new_polys, new_rests
-    total = sum(polys.values())
+    size = hi - lo + 1
+    total = 0
+    for mask, poly in polys.items():
+        # limits[k] bounds a_(k+1) = c_(k+1) - k
+        limits: list[int] = []
+        for c, v in enumerate(rests[mask]):
+            # c + 1 - G(u_c) grows by at most one per step
+            if c + 1 - outside[v] > len(limits):
+                limits.append(c - len(limits))
+                if len(limits) == size:
+                    break
+        # no carry: each coefficient of the product counts x <= w
+        total += poly * _diagram_count(limits, slot)
     coeffs = []
     full = (1 << slot) - 1
     while total:
@@ -447,65 +462,46 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _grassmann_poincare(top: Sequence[int]) -> tuple[int, ...]:
-    """Poincare polynomial of the Grassmannian element with sorted columns
-    ``top``: ``sum(q^|mu|)`` over the Young diagrams ``mu`` inside its
-    partition (Fulton, *Young Tableaux*, Sec. 9.4).
+def _diagram_count(limits: Sequence[int], slot: int) -> int:
+    """``sum(q^(a_1 + ... + a_s))`` over ``0 <= a_1 <= ... <= a_s`` with
+    ``a_k <= limits[k - 1]``, packed ``slot`` bits per coefficient: the Young
+    diagrams inside a partition by size (Fulton, *Young Tableaux*, Sec. 9.4).
+    ``ends[a]`` counts the sequences so far whose last part is ``a``.
 
-    An ``x`` with columns ``c_1 < ... < c_d`` lies below it iff
-    ``c_k <= top[k - 1]`` for every ``k`` (Gale order), and has length
-    ``sum(c_k - k)``.  So with ``a_k = c_k - k`` the polynomial counts the
-    sequences ``0 <= a_1 <= ... <= a_d`` with ``a_k <= top[k - 1] - k`` by
-    their sum.  ``ends[a]`` counts the sequences so far whose last part is
-    ``a``; each column sums it over the parts ``<= a`` and shifts by
-    ``q^a``.  Nothing is enumerated: the cost is polynomial in ``n``.
+    Columns ``{2, 4}`` of ``Gr(2, 4)`` give limits ``(1, 2)``:
 
-    >>> _grassmann_poincare((2, 4))
-    (1, 1, 2, 1)
+    >>> hex(_diagram_count((1, 2), 8))
+    '0x1020101'
     """
-    ends: list[list[int]] = [[1]]
-    for k, c in enumerate(top, 1):
-        below: list[int] = []
-        nxt = []
-        for a in range(c - k + 1):
+    if len(limits) == 1:
+        return ((1 << (limits[0] + 1) * slot) - 1) // ((1 << slot) - 1)
+    ends = [1]
+    for limit in limits:
+        below, nxt = 0, []
+        for a in range(limit + 1):
             if a < len(ends):
-                below = _poly_add(below, ends[a])
-            nxt.append([0] * a + below)
+                below += ends[a]
+            nxt.append(below << a * slot)
         ends = nxt
-    total: list[int] = []
-    for p in ends:
-        total = _poly_add(total, p)
-    return tuple(total)
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = p[:]
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
+    return sum(ends)
 
 
 def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     """Rank generating function of the lower Bruhat interval of ``w`` in
     ``W^J``: coefficient ``k`` counts the ``x <= w`` of length ``k``.
 
-    When ``J`` omits one index ``d``, ``W^J`` indexes the Schubert
-    varieties of the Grassmannian ``Gr(d, n)``: the interval is the set of
-    Young diagrams inside the partition of ``w``, and the polynomial is a
-    count of column sequences (:func:`_grassmann_poincare`) that
-    enumerates nothing.  Otherwise, when the support of ``w`` misses an
-    index, the interval lies in the parabolic subgroup ``W_S`` of its
-    support ``S``, a product of smaller symmetric groups, one per position
-    block of ``S``.  Its part of ``W^J`` is the product of the quotients
-    of those blocks, with lengths adding, so the polynomial is the product
-    of the blocks' polynomials, each with ``J`` restricted to the block.
-    A ``w`` of full support goes to a DP over the prefix sets of ``W^J``
-    at the block ends of ``J`` (:func:`_prefix_dp`): at most ``2^n``
-    states, and at most one Bruhat test per state, with no element of
-    ``W^J`` listed.  Ranks above :data:`RANK_LIMIT` are refused on every
-    path.
+    When the support of ``w`` misses an index, the interval lies in the
+    parabolic subgroup ``W_S`` of its support ``S``, a product of smaller
+    symmetric groups, one per position block of ``S``.  Its part of ``W^J``
+    is the product of the quotients of those blocks, with lengths adding,
+    so the polynomial is the product of the blocks' polynomials, each with
+    ``J`` restricted to the block.  A ``w`` of full support goes to a DP
+    over the prefix sets of ``W^J`` at the block ends of ``J``
+    (:func:`_prefix_dp`): at most ``2^n`` states, at most one Bruhat test
+    per state, and no element of ``W^J`` listed.  It counts its last block
+    as Young diagrams, so when ``J`` omits one index ``d`` (``W^J`` indexes
+    the Schubert varieties of the Grassmannian ``Gr(d, n)``) it enumerates
+    nothing.  Ranks above :data:`RANK_LIMIT` are refused on every path.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)

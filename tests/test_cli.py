@@ -300,10 +300,14 @@ class TestSweep:
 
     def test_smooth_palindromic_sees_a_wrong_count(self, capsys, monkeypatch):
         # MUTANTS breaks the smooth side; this breaks the palindromic one,
-        # the Young-diagram count, by one more diagram of the largest size
-        count = weyl._grassmann_poincare
-        monkeypatch.setattr(weyl, "_grassmann_poincare",
-                            lambda top: (*count(top)[:-1], count(top)[-1] + 1))
+        # the prefix-set DP's last-block count, by one more diagram of the
+        # largest size
+        count = weyl._diagram_count
+
+        def one_more(limits, slot):
+            got = count(limits, slot)
+            return got + (1 << (got.bit_length() - 1) // slot * slot)
+        monkeypatch.setattr(weyl, "_diagram_count", one_more)
         weyl._poincare.cache_clear()
         try:
             code, out, _ = run_cli(

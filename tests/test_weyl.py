@@ -333,29 +333,28 @@ class TestPoincare:
     @given(st.data())
     def test_support_blocks_at_ranks_6_7(self, data):
         # w inside a proper W_K, so the product over support blocks runs,
-        # and W^J is scanned only at the smaller ranks of those blocks
+        # and the prefix-set DP runs only at the smaller ranks of those blocks
         n = data.draw(st.integers(6, 7), label="n")
         K = data.draw(st.frozensets(st.integers(1, n - 1), max_size=n - 2), label="K")
         J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
         x = data.draw(st.permutations(range(1, n + 1)), label="x")
         w = weyl.min_coset_rep(in_parabolic(x, K), J)
-        scanned = []
-        fn = weyl._quotient_reps
+        ranks = []
+        fn = weyl._prefix_dp
         weyl._poincare.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weyl, "_quotient_reps",
-                       lambda m, L: scanned.append(m) or fn(m, L))
+            mp.setattr(weyl, "_prefix_dp",
+                       lambda u, L: ranks.append(len(u)) or fn(u, L))
             got = weyl.poincare_polynomial(w, J)
         weyl._poincare.cache_clear()
         assert got == interval_count(w, J)
-        assert all(m < n for m in scanned)
+        assert all(m < n for m in ranks)
 
     @staticmethod
     def dp(w, J):
         """``poincare_polynomial(w, J)``, cold, for a ``w`` of full support
-        in a ``W^J`` whose ``J`` omits two or more indices: neither the
-        Young-diagram count nor the support split answers, so the prefix-set
-        DP does.  It lists no ``W^J``, and it makes at most one Bruhat test
+        in ``W^J``: the support split does not answer, so the prefix-set DP
+        does.  It lists no ``W^J``, and it makes at most one Bruhat test
         per prefix set: no comparison repeats, and each one compares the
         Grassmannian projections of two prefix sets of one size."""
         listed, tests = [], []
@@ -402,7 +401,8 @@ class TestPoincare:
     def test_one_length_and_one_bruhat_test_per_element(self, monkeypatch):
         # the slowest bp query's w: 1,260 elements of W^J, 672 below w,
         # which the scan tested one by one; the DP counts no inversions and
-        # tests the 21 prefix sets of the first block and the 7 of the fourth
+        # tests the 21 prefix sets of the first block; the fourth block, the
+        # last it processes, is counted as Young diagrams with no test
         w, J = (4, 6, 5, 7, 2, 3, 1), frozenset({1, 5})
         calls = {"length": 0, "bruhat_leq": 0}
         for name in calls:
@@ -415,12 +415,12 @@ class TestPoincare:
         got = self.dp(w, J)
         assert got == interval_count(w, J) and sum(got) == 672
         assert len(oracles.quotient_perms(7, J)) == 1260
-        assert calls == {"length": 0, "bruhat_leq": 28}
+        assert calls == {"length": 0, "bruhat_leq": 21}
 
-    @pytest.mark.parametrize("n,count", [(3, 3), (4, 29), (5, 261), (6, 2569)])
+    @pytest.mark.parametrize("n,count", [(3, 5), (4, 33), (5, 269), (6, 2585)])
     def test_dp_matches_scan_oracle_exhaustively(self, n, count):
         # every (w, J) that reaches the DP through poincare_polynomial
-        pairs = [(w, J) for J in oracles.subsets(range(1, n)) if len(J) <= n - 3
+        pairs = [(w, J) for J in oracles.subsets(range(1, n)) if len(J) <= n - 2
                  for w in oracles.quotient_perms(n, J) if full_support(w)]
         assert len(pairs) == count
         for w, J in pairs:
@@ -471,8 +471,9 @@ class TestPoincare:
 
 
 class TestGrassmannPoincare:
-    """``J`` omitting one index: the Young-diagram count, against scans of
-    ``W^J`` made by the oracles alone."""
+    """``J`` omitting one index: the prefix-set DP with one processed block,
+    counted as Young diagrams, against scans of ``W^J`` made by the oracles
+    alone."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_rank_scan_exhaustively(self, n):
@@ -489,7 +490,8 @@ class TestGrassmannPoincare:
     @settings(max_examples=60)
     @given(st.data())
     def test_count_matches_column_filter_at_ranks_9_12(self, data):
-        # past the cap, so the count is called directly
+        # past the cap, so the DP is called directly, at the Grassmannian
+        # element with columns top
         n = data.draw(st.integers(9, 12), label="n")
         d = data.draw(st.integers(1, n - 1), label="d")
         top = tuple(sorted(data.draw(
@@ -499,7 +501,8 @@ class TestGrassmannPoincare:
             if all(c <= t for c, t in zip(cols, top)):
                 rest = sorted(set(range(1, n + 1)) - set(cols))
                 expected[oracles.inv_count(cols + tuple(rest))] += 1
-        assert weyl._grassmann_poincare(top) == tuple(expected)
+        w = top + tuple(sorted(set(range(1, n + 1)) - set(top)))
+        assert weyl._prefix_dp(w, frozenset(range(1, n)) - {d}) == tuple(expected)
 
     def test_scans_nothing(self, monkeypatch):
         cases = [(w, frozenset(range(1, n)) - {d}) for n in range(2, 7)
