@@ -379,81 +379,49 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     ``{w_1..w_e}`` in Gale order, and a block taking the unused values at
     indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2`` inversions;
     the last block adds none.  A state is the bitmask of the values used;
-    it carries its unused values and its polynomial, packed into one int
-    with a slot per coefficient wide enough for ``n!``.  Gale order at
-    ``e`` bounds ``c_k`` by the first ``c`` with ``c + 1 - G(u_c) >= k``,
-    where ``u_c`` is the ``c``-th unused value and ``G(v)`` counts the
-    values ``<= v`` outside ``{w_1..w_e}``.  A one-position block reads
-    that bound; a longer one tests each new state once, by
-    :func:`bruhat_leq` on the Grassmannian projections of the two sets.
-    The last block processed builds no states: it multiplies each state's
+    its polynomial is packed into one int, a slot per coefficient wide
+    enough for ``n!``.  Every block reads one bound.  With ``u_0 < u_1 <
+    ...`` the unused values and ``G(v)`` the count of values ``<= v``
+    outside ``{w_1..w_e}``, the new set lies below ``w``'s iff for every
+    ``v`` at most ``G(v)`` unused values ``<= v`` stay unchosen.  Asked at
+    each ``u_c`` this is ``c_k <= b_k``, where ``b_k`` is the first ``c``
+    with ``c + 1 - G(u_c) >= k``.  That value grows by at most one per step
+    and never passes ``s`` (the used values lie below ``w``'s earlier
+    prefix set), so one scan finds exactly ``b_1 < ... < b_s``.  The last
+    block processed builds no states: it multiplies each state's
     polynomial by the count of its choices (:func:`_diagram_count`)."""
     n = len(w)
-    values = range(1, n + 1)
-    slot = math.factorial(n).bit_length()
-    polys, rests = {0: 1}, {0: tuple(values)}
     blocks = _position_blocks(J, n)[:-1]
     if not blocks:
         return (1,)
+    slot = math.factorial(n).bit_length()
+    polys, total = {0: 1}, 0
     for lo, hi in blocks:
         prefix = set(w[:hi])
         outside = list(itertools.accumulate(
-            (v not in prefix for v in values), initial=0))
-        if hi == blocks[-1][1]:
-            break
+            (v not in prefix for v in range(1, n + 1)), initial=0))
+        size = hi - lo + 1
         new_polys: dict[int, int] = {}
-        new_rests: dict[int, Perm] = {}
-        if lo == hi:
-            for mask, poly in polys.items():
-                unused = rests[mask]
-                for c, v in enumerate(unused):
-                    m = mask | 1 << v
-                    if m not in new_polys:
-                        new_polys[m] = 0
-                        new_rests[m] = unused[:c] + unused[c + 1:]
-                    new_polys[m] += poly << c * slot
-                    if outside[v] <= c:
-                        break
-        else:
-            size = hi - lo + 1
-            least = size * (size - 1) // 2
-            top = tuple(sorted(w[:hi])) + tuple(sorted(w[hi:]))
-            everything = set(values)
-            dead = set()
-            for mask, poly in polys.items():
-                unused = rests[mask]
-                k = len(unused)
-                # complements run in the reverse lex order of their own
-                # combinations
-                for chosen, bits, rest in zip(
-                        itertools.combinations(range(k), size),
-                        itertools.combinations([1 << v for v in unused], size),
-                        reversed(tuple(itertools.combinations(unused, k - size)))):
-                    m = mask | sum(bits)
-                    if m not in new_polys:
-                        if m in dead:
-                            continue
-                        used = tuple(sorted(everything.difference(rest)))
-                        if not bruhat_leq(used + rest, top):
-                            dead.add(m)
-                            continue
-                        new_polys[m] = 0
-                        new_rests[m] = rest
-                    new_polys[m] += poly << (sum(chosen) - least) * slot
-        polys, rests = new_polys, new_rests
-    size = hi - lo + 1
-    total = 0
-    for mask, poly in polys.items():
-        # limits[k] bounds a_(k+1) = c_(k+1) - k
-        limits: list[int] = []
-        for c, v in enumerate(rests[mask]):
-            # c + 1 - G(u_c) grows by at most one per step
-            if c + 1 - outside[v] > len(limits):
-                limits.append(c - len(limits))
-                if len(limits) == size:
-                    break
-        # no carry: each coefficient of the product counts x <= w
-        total += poly * _diagram_count(limits, slot)
+        for mask, poly in polys.items():
+            bits, bounds = [], []
+            for v in range(1, n + 1):
+                if not mask >> v & 1:
+                    bits.append(1 << v)
+                    if len(bits) - outside[v] > len(bounds):
+                        bounds.append(len(bits) - 1)
+            if hi == blocks[-1][1]:
+                # a_k = c_k - (k - 1); no carry: each coefficient counts x <= w
+                total += poly * _diagram_count(
+                    [b - k for k, b in enumerate(bounds)], slot)
+                continue
+            # every c_1 < ... < c_s with c_k <= b_k, as (mask, exponent, next c)
+            picks = [(mask, -size * (size - 1) // 2, 0)]
+            for b in bounds:
+                picks = [(m | bits[c], t + c, c + 1) for m, t, first in picks
+                         for c in range(first, b + 1)]
+            for m, t, _ in picks:
+                new_polys[m] = new_polys.get(m, 0) + (poly << t * slot)
+        polys = new_polys
     coeffs = []
     full = (1 << slot) - 1
     while total:
@@ -497,11 +465,11 @@ def poincare_polynomial(w: Perm, J: Iterable[int] = ()) -> tuple[int, ...]:
     so the polynomial is the product of the blocks' polynomials, each with
     ``J`` restricted to the block.  A ``w`` of full support goes to a DP
     over the prefix sets of ``W^J`` at the block ends of ``J``
-    (:func:`_prefix_dp`): at most ``2^n`` states, at most one Bruhat test
-    per state, and no element of ``W^J`` listed.  It counts its last block
-    as Young diagrams, so when ``J`` omits one index ``d`` (``W^J`` indexes
-    the Schubert varieties of the Grassmannian ``Gr(d, n)``) it enumerates
-    nothing.  Ranks above :data:`RANK_LIMIT` are refused on every path.
+    (:func:`_prefix_dp`): at most ``2^n`` states, and one Gale bound per
+    chosen index, read off one scan of a state's unused values, so no
+    Bruhat test.  It counts its last block as Young diagrams: when ``J``
+    omits one index ``d`` (the Grassmannian ``Gr(d, n)``) it lists nothing.
+    Ranks above :data:`RANK_LIMIT` are refused on every path.
 
     >>> poincare_polynomial((3, 2, 1))
     (1, 2, 2, 1)

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -120,6 +121,125 @@ class TestParsing:
 
     def test_missing_required_flag(self, capsys):
         assert cli.main(["analyze", "--n", "4"]) == 2
+
+
+def ints(values):
+    return ",".join(map(str, values))
+
+
+def some(rng, pool):
+    """A random subset of ``pool``, sorted."""
+    return sorted(v for v in pool if rng.random() < 0.5)
+
+
+def grassmannian(rng, n, d):
+    """A random element of ``W^J`` for ``J`` omitting only ``d``."""
+    cols = sorted(rng.sample(range(1, n + 1), d))
+    return cols + sorted(set(range(1, n + 1)) - set(cols))
+
+
+#: each rule a malformed query breaks, and the words of its refusal
+MALFORMED = {
+    "permutation": r"is not a permutation|entries; expected",
+    "descent": r"has a right descent in J=",
+    "index": r"indices must lie in 1\.\.",
+    "stable": r"is not stable under the Levi of",
+    "inclusion": r"must be contained in K=",
+    "d": r"descent position d=",
+}
+
+
+def malformed_query(rng):
+    """``(rule, argv)``: an instance query at rank ``n <= 8`` whose flags are
+    well formed and whose values break ``rule`` alone.  Each value goes in
+    as ``--flag=text``, so that a leading ``-`` stays a value."""
+    rule = rng.choice(sorted(MALFORMED))
+    command = {"stable": "toroidal", "inclusion": "bp"}.get(rule) or rng.choice(
+        ["analyze", "heads", "toroidal", "bp"])
+    # a Grassmannian w with a descent other than d, or with a Levi it is
+    # not stable under, needs n >= 3
+    n = rng.randint(3 if rule in ("descent", "stable") else 2, 8)
+    roots = range(1, n)
+    d = rng.randint(1, n - 1)
+    w = rng.sample(range(1, n + 1), n)
+    flags = {}
+    if command == "toroidal":
+        w, flags["--d"] = grassmannian(rng, n, d), d
+    elif command == "bp":
+        flags["--d"] = d
+    if rule == "permutation":
+        i, j = rng.sample(range(n), 2)
+        how = rng.randrange(4)
+        if how == 0:
+            w[i] = w[j]
+        elif how == 1:
+            w[i] = rng.choice([0, -1, n + 1, n + 5])
+        else:
+            w = w[:-1] if how == 2 else w + [n + 1]
+    elif rule == "descent":
+        others = [i for i in roots if i != flags.get("--d")]
+        while not any(w[i - 1] > w[i] for i in others):
+            w = rng.sample(range(1, n + 1), n)
+        if command != "toroidal":
+            J = set(some(rng, roots)) | {rng.choice(
+                [i for i in roots if w[i - 1] > w[i]])}
+            flags["--parabolic"] = ints(sorted(J))
+            if command == "bp":
+                del flags["--d"]
+                flags["--quotient"] = ints(sorted(J | set(some(rng, roots))))
+    elif rule == "index":
+        bad = rng.choice([0, -1, n, n + 3])
+        if command == "toroidal":
+            flag, good = "--levi", some(rng, roots)
+        elif command == "bp":
+            flag, good = rng.choice(["--parabolic", "--quotient"]), []
+            if flag == "--quotient":
+                del flags["--d"]
+        else:
+            # no descent of w among the good indices
+            flag = rng.choice(["--parabolic", "--levi"])
+            good = some(rng, [i for i in roots if w[i - 1] < w[i]])
+        flags[flag] = ints(rng.sample(good + [bad], len(good) + 1))
+    elif rule == "stable":
+        J = frozenset(roots) - {d}
+        while levi.max_levi(tuple(w), J) == frozenset(roots):
+            w = grassmannian(rng, n, d)
+        stable = levi.max_levi(tuple(w), J)
+        extra = rng.choice(sorted(frozenset(roots) - stable))
+        flags["--levi"] = ints(sorted(set(some(rng, stable)) | {extra}))
+    elif rule == "inclusion":
+        J = sorted(rng.sample(roots, rng.randint(1, n - 1)))
+        w = list(weyl.min_coset_rep(tuple(w), J))
+        flags["--parabolic"] = ints(J)
+        if rng.random() < 0.5:
+            flags["--d"] = rng.choice(J)
+        else:
+            del flags["--d"]
+            missing = rng.choice(J)
+            flags["--quotient"] = ints(some(rng, [i for i in roots if i != missing]))
+    else:
+        flags["--d"] = rng.choice([0, -1, -n, n, n + 3])
+    return rule, [command, f"--n={n}", f"--w={ints(w)}",
+                  *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+class TestMalformedQueries:
+    def test_each_exits_two_with_one_error_line(self, capsys):
+        # a seeded slice of malformed instance queries: each is refused as a
+        # usage error by the rule it breaks, with no output, one error line
+        # and no traceback
+        rng = random.Random(25)
+        rules = set()
+        for _ in range(300):
+            rule, argv = malformed_query(rng)
+            rules.add(rule)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            line, = err.splitlines()
+            assert err == line + "\n" and line.startswith("error: "), argv
+            assert not line.startswith("error: internal:"), argv
+            assert "Traceback" not in err and re.search(MALFORMED[rule], line), argv
+        assert rules == set(MALFORMED)
 
 
 class TestAnalyze:
