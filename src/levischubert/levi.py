@@ -1,6 +1,8 @@
 """Levi-subgroup actions on Schubert varieties: block partitions, the
 stability test, degree-1 heads, and head enumeration by one pruned walk
-(``_stable_below``) with its boundary (the maximal proper heads).
+(``_stable_below``) with its boundary (the maximal proper heads).  The
+boundary of a stable element comes from one cover scan of the least
+element of its double coset ``W_I * tau * W_J`` (``_deal``).
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
 its complement cuts ``{1..n}`` into consecutive blocks (:func:`blocks`)
@@ -171,6 +173,9 @@ class HeadReport(NamedTuple):
     ``minimal_head`` (:func:`minimal_head`; None when there is no head) is
     the first; ``maximal_proper_heads`` are the Bruhat-maximal heads strictly
     below the reference element, in the order of ``heads``: the boundary.
+    For a stable reference element it comes from the lower covers of the
+    least element of its double coset (:func:`heads_below`), and each of
+    its heads is checked to be one the walk listed.
     """
 
     heads: tuple[Perm, ...]
@@ -188,6 +193,51 @@ class HeadReport(NamedTuple):
         }
 
 
+def _deal(x: Perm, J: frozenset[int], I: frozenset[int], top: bool) -> Perm:
+    """An end of ``W_I * x * W_J`` in ``W^J``: the least (``top`` false) or
+    the largest.  Each block of values of ``I`` is dealt to the positions
+    that hold it in ``x``, left to right, smallest value first for the
+    least and largest first for the largest; then each position block of
+    ``J`` is sorted.
+
+    Dealing is a left factor in ``W_I`` and sorting a right one in ``W_J``,
+    so the result stays in the double coset and lies in ``W^J``.  Sorting
+    keeps the values of each ``J``-block, so the order that dealing gave
+    the values of an ``I``-block survives between ``J``-blocks.  For the
+    least, ``i`` in ``I`` then stands left of ``i + 1``: no left descent in
+    ``I`` and no right descent in ``J`` make it the least element of the
+    double coset.  For the largest, ``i + 1`` stands left of ``i`` or in its
+    ``J``-block, which is :func:`max_levi`'s test: the result is
+    ``I``-stable, the coset representative of the double coset's longest
+    element, and so the largest of the double coset in ``W^J``.
+    """
+    n = len(x)
+    nxt = [0] * (n + 1)  # nxt[lo]: the next value the I-block from lo deals
+    key = [0] * (n + 1)  # key[v]: the first value of v's I-block
+    for lo, hi in weyl._position_blocks(I, n):
+        nxt[lo] = hi if top else lo
+        key[lo:hi + 1] = [lo] * (hi + 1 - lo)
+    step = -1 if top else 1
+    out = []
+    for v in x:
+        lo = key[v]
+        out.append(nxt[lo])
+        nxt[lo] += step
+    return weyl._min_coset_rep(tuple(out), J)
+
+
+def _maximal(proper: list[Perm]) -> tuple[Perm, ...]:
+    """The Bruhat-maximal elements of ``proper``, which is sorted by
+    (length, lex), kept in that order.  They are found longest first: one
+    that is not maximal lies below a maximal one, which is longer and so
+    already kept.  That is at most ``|proper| * (|maximal| + 1)`` tests."""
+    maximal: list[Perm] = []
+    for h in reversed(proper):
+        if not any(weyl.bruhat_leq(h, g) for g in maximal):
+            maximal.append(h)
+    return tuple(reversed(maximal))
+
+
 def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     """Enumerate every degree-1 head below ``tau``: the ``theta <= tau``
     in ``W^J`` whose varieties are stable under the Levi of ``I``.
@@ -197,11 +247,23 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     so no element of ``W^J`` is tested one by one; that walk refuses ranks
     above :data:`weyl.RANK_LIMIT`.  There must be heads exactly when
     :func:`minimal_head` lies below ``tau``, and then the first head must
-    be it and lie below every head, or ``RuntimeError`` is raised.  The
-    maximal proper heads are found longest first: a head that is not
-    maximal lies below a maximal one, which is longer and so already
-    kept.  With ``H`` the heads and ``M`` the maximal proper ones this
-    makes at most ``|H| * (|M| + 1)`` Bruhat tests.
+    be it and lie below every head, or ``RuntimeError`` is raised.
+
+    The heads are the largest elements in ``W^J`` of the double cosets
+    ``W_I * x * W_J`` (:func:`_deal`), and Bruhat order between double
+    cosets reads the same on their least elements as on their largest
+    (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Sec. 2.5).  Write
+    ``floor(x)`` and ``ceil(x)`` for those two ends.  When ``tau`` is
+    ``I``-stable, its boundary is the Bruhat-maximal ``ceil(c)`` over the
+    lower covers ``c`` of ``floor(tau)`` in ``W^J``.  A proper head
+    ``h < tau`` lies in a lower double coset, so ``floor(h) < floor(tau)``.
+    ``W^J`` is graded, so ``floor(h) <= c`` for some such cover ``c``.
+    Hence ``h <= ceil(c) <= tau``, and ``ceil(c) != tau`` because ``c`` is
+    shorter than the least element of ``tau``'s double coset.  Each
+    ``ceil(c)`` must be a proper head the walk listed, or ``RuntimeError``
+    is raised.  That is one cover scan, whatever the number of heads.  An
+    unstable ``tau`` has no such double coset: its boundary is the
+    maximal heads, found among all of them (:func:`_maximal`).
     """
     tau, J = weyl.require_quotient(tau, J)
     I = weyl.require_indices(I, len(tau))
@@ -212,11 +274,16 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     if bool(found) != weyl.bruhat_leq(mh, tau) or (found and (
             found[0] != mh or not all(weyl.bruhat_leq(mh, h) for h in found))):
         raise RuntimeError(f"head set below {tau} has no unique minimum")
-    maximal: list[Perm] = []
-    for h in reversed(found):
-        if h != tau and not any(weyl.bruhat_leq(h, g) for g in maximal):
-            maximal.append(h)
-    return HeadReport(tuple(found), tuple(reversed(maximal)))
+    # tau is I-stable iff it is a head, and then the walk lists it last
+    if not found or found[-1] != tau:
+        return HeadReport(tuple(found), _maximal(found))
+    rank = dict(zip(found[:-1], range(len(found) - 1)))
+    tops = {_deal(c, J, I, True)
+            for c in weyl._lower_covers(_deal(tau, J, I, False), J)}
+    if not tops <= rank.keys():
+        raise RuntimeError(f"boundary of {tau} has {sorted(tops - rank.keys())}, "
+                           "which the walk did not list as proper heads")
+    return HeadReport(tuple(found), _maximal(sorted(tops, key=rank.__getitem__)))
 
 
 def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:

@@ -7,8 +7,9 @@ each position block, the Billey-Postnikov maximality from scans over whole
 parabolic subgroups, Poincare polynomials from scans of the whole
 quotient, the Levi stabilizer from coset lengths, left
 descents from the inversion counts of value swaps, the degree-1 heads
-from scans of the subword interval, and Grassmann permutations written
-down from their column sets.
+from scans of the subword interval, the ends of a double coset from the
+whole coset, and Grassmann permutations written down from their column
+sets.
 """
 
 from __future__ import annotations
@@ -148,6 +149,22 @@ def coset_min(w, J):
         for p, v in zip(block, least):
             out[p - 1] = v
     return tuple(out)
+
+
+def double_coset(x, J, I):
+    """W_I x W_J inside W^J by brute force, sorted by inversion count: the
+    coset minimum of a x for every a in W_I, since (a x b) W_J = a x W_J."""
+    return sorted({coset_min(multiply(a, x), J) for a in parabolic_group(I, len(x))},
+                  key=inv_count)
+
+
+def double_coset_ends(x, J, I):
+    """(least, largest) element of W_I x W_J inside W^J, ranked by
+    inversion count; each must be the only one of its length."""
+    members = double_coset(x, J, I)
+    lengths = [inv_count(m) for m in members]
+    assert lengths.count(lengths[0]) == lengths.count(lengths[-1]) == 1
+    return members[0], members[-1]
 
 
 def block_reversal(J, n):
@@ -298,6 +315,20 @@ def heads_scan(tau, J, I):
     maximal = [h for i, h in enumerate(proper)
                if not any(rank_leq(h, g) for g in proper[i + 1:])]
     return tuple(heads), (minima[0] if heads else None), tuple(maximal)
+
+
+def boundary_longest_first(heads, tau):
+    """The maximal proper heads among ``heads`` (sorted by length, lex),
+    found longest first by the rank criterion: a proper head that is not
+    maximal lies below a longer maximal one, which is already kept.  Each
+    head's rank matrix is built once and not memoized."""
+    proper = [h for h in heads if h != tuple(tau)]
+    ranks = [rank_matrix.__wrapped__(h) for h in proper]
+    kept = []
+    for k in reversed(range(len(proper))):
+        if not any(all(map(operator.le, ranks[k], ranks[g])) for g in kept):
+            kept.append(k)
+    return tuple(proper[k] for k in reversed(kept))
 
 
 def brute_force_checks(w, J, I):

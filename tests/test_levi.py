@@ -1,7 +1,10 @@
+import bisect
 import itertools
+import math
+import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from oracles import stabilizer, subsets
@@ -165,6 +168,43 @@ class TestStableBelow:
         I = data.draw(st.frozensets(st.sampled_from(roots or range(1, n))), label="I")
         assert levi._stable_below(tau, J, I) == stable_below_filter(tau, J, I)
 
+    def test_last_value_is_placed_without_a_search(self, monkeypatch):
+        # J = {6} leaves position 7 the only one that continues a block, so
+        # a walk that stepped through the last position would bisect there
+        calls = []
+        monkeypatch.setattr(levi, "bisect", types.SimpleNamespace(
+            bisect=lambda *a: calls.append(a) or bisect.bisect(*a)))
+        got = levi._stable_below((7, 6, 5, 4, 3, 1, 2), frozenset({6}), frozenset())
+        assert len(got) == 2520 and calls == []
+
+
+class TestDoubleCosetEnds:
+    """The closed forms of the least and the largest element of
+    ``W_I * x * W_J`` in ``W^J`` against the whole double coset."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_match_the_coset_exhaustively(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for J in subsets(range(1, n)):
+            for I in subsets(range(1, n)):
+                ends = {}  # each double coset is scanned once, by its members
+                for x in perms:
+                    key = oracles.coset_min(x, J)
+                    if key not in ends:
+                        ends.update(dict.fromkeys(oracles.double_coset(x, J, I),
+                                                  oracles.double_coset_ends(x, J, I)))
+                    got = levi._deal(x, J, I, False), levi._deal(x, J, I, True)
+                    assert got == ends[key], (x, J, I)
+
+    def test_frozen(self):
+        # w0 of S_4 with I = {2}: values 2, 3 dealt in position order
+        I = frozenset({2})
+        assert levi._deal((4, 3, 2, 1), frozenset(), I, False) == (4, 2, 3, 1)
+        assert levi._deal((4, 2, 3, 1), frozenset(), I, True) == (4, 3, 2, 1)
+        # J = {2}: the middle position block is sorted after the deal
+        assert levi._deal((3, 1, 4, 2), frozenset({2}), I, False) == (2, 1, 4, 3)
+        assert levi._deal((2, 1, 4, 3), frozenset({2}), I, True) == (3, 1, 4, 2)
+
 
 class TestHeadsBelow:
     def test_reference_gl4_instance(self):
@@ -220,14 +260,50 @@ class TestHeadsBelow:
         assert report(tau, J, I) == oracles.heads_scan(tau, J, I)
 
     def test_bruhat_calls_bounded(self, monkeypatch):
-        # the minimum check tests each head, and the longest-first boundary
-        # each head against the maximal ones kept
+        # the minimum check tests each head and tau; the boundary comes from
+        # one cover scan, and the longest-first filter tests each pair of
+        # the at most C(21, 2) covers' coset tops once, whatever |heads| is
         calls = []
-        fn = weyl.bruhat_leq
-        monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: calls.append(1) or fn(u, w))
+        for name in ("bruhat_leq", "_lower_covers"):
+            fn = getattr(weyl, name)
+            monkeypatch.setattr(weyl, name,
+                                lambda u, w, fn=fn, name=name: calls.append(name) or fn(u, w))
         got = levi.heads_below((7, 6, 5, 4, 3, 2, 1), (), {2})
         assert (len(got.heads), len(got.maximal_proper_heads)) == (2520, 5)
-        assert len(calls) <= 2520 * (5 + 1)
+        assert calls.count("bruhat_leq") <= 2520 + 1 + math.comb(21, 2)
+        assert calls.count("_lower_covers") == 1
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_boundary_matches_longest_first_filter_at_rank_8(self, data):
+        # the cover scan against the filter over every listed head
+        n = 8
+        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+        x = data.draw(st.permutations(range(1, n + 1)), label="x")
+        tau = weyl.min_coset_rep(tuple(x), J)
+        roots = sorted(levi.max_levi(tau, J))
+        assume(roots)
+        I = data.draw(st.frozensets(st.sampled_from(roots), min_size=1), label="I")
+        got = levi.heads_below(tau, J, I)
+        assert got.maximal_proper_heads == oracles.boundary_longest_first(got.heads, tau)
+
+    def test_walk_missing_a_maximal_head_fails_loudly(self, monkeypatch):
+        # (1, 4, 3, 2) is a coset top below a cover of tau's least element;
+        # without it the other heads would pass as a two-element boundary
+        walk = levi._stable_below
+        monkeypatch.setattr(levi, "_stable_below", lambda tau, J, I: [
+            (ell, t) for ell, t in walk(tau, J, I) if t != (1, 4, 3, 2)])
+        with pytest.raises(RuntimeError, match=r"\(1, 4, 3, 2\)"):
+            levi.heads_below((3, 4, 1, 2), (), {2})
+
+    def test_tau_as_its_own_boundary_fails_loudly(self, monkeypatch):
+        # a coset top is a proper head: one that came out as tau itself is
+        # refused, though tau is a head the walk listed
+        deal = levi._deal
+        monkeypatch.setattr(levi, "_deal", lambda x, J, I, top:
+                            (3, 4, 1, 2) if top else deal(x, J, I, top))
+        with pytest.raises(RuntimeError, match=r"\(3, 4, 1, 2\)\]"):
+            levi.heads_below((3, 4, 1, 2), (), {2})
 
     def test_no_element_of_the_quotient_tested_one_by_one(self, monkeypatch):
         # the heads come from the pruned walk: W^J is not listed, and no
