@@ -1,8 +1,12 @@
 """Levi-subgroup actions on Schubert varieties: block partitions, the
 stability test, degree-1 heads, and head enumeration by one pruned walk
 (``_stable_below``) with its boundary (the maximal proper heads).  The
-boundary of a stable element comes from one cover scan of the least
-element of its double coset ``W_I * tau * W_J`` (``_deal``).
+walk's Bruhat rule is the Gale bound of :func:`weyl._gale_bounds`, read at
+each ``J``-block start as the prefix-set DP reads it, and it places the
+last ``J``-block without a search.  The boundary of a stable element comes
+from one cover scan of the least element of its double coset ``W_I * tau *
+W_J`` (``_deal``), and the minimal head is the largest element of the
+identity's double coset.
 
 A standard Levi subgroup is given by a set ``I`` of simple-root indices;
 its complement cuts ``{1..n}`` into consecutive blocks (:func:`blocks`)
@@ -104,65 +108,68 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
     variety is stable under the Levi of ``I``, in lexicographic order of ``t``.
 
     A walk over ``W^J`` position by position, values increasing inside each
-    position block of ``J``, that places a value only when some completion
-    can still qualify:
+    position block of ``J``, that places a value only by these rules:
 
-    * Bruhat: ``t <= tau`` iff no prefix of ``t`` has more values ``>= j``
-      than the prefix of ``tau`` as long (:func:`weyl.bruhat_leq`'s surplus
-      ``diff``).  A value ``a > tau[p]`` uses up one unit of ``diff`` on
-      ``(tau[p], a]``, so once ``a`` reaches the least ``z`` there with
-      ``diff[z] == 0`` every larger value fails as well.
+    * Bruhat: the Gale bounds of :func:`weyl._gale_bounds`, the one rule
+      that :func:`weyl._prefix_dp` reads too, taken at each ``J``-block
+      start from the mask of the values used.  At the ``k``-th position of
+      the block (from 0) the ``k`` values placed in it are smaller than any
+      candidate, so index ``idx`` into the unused values ``rest`` is index
+      ``idx + k`` of those unused at the block start, and it is allowed iff
+      ``idx + k <= bounds[k]``.  The bound is exact within a block: the
+      ``b_k`` strictly increase, so ``c_k <= b_k`` always leaves ``c_{k+1}
+      = c_k + 1`` open.
     * Stability: ``i`` in ``I`` needs ``i + 1`` left of it or in its own
       block (:func:`max_levi`'s closed form), so after ``i`` comes ``i + 1``
       unless it is already placed, and a block may not end in such an ``i``.
     * Room: a block that goes on needs larger unused values to fill it.
+      The bound keeps it: with ``m`` values unused at the block start, the
+      ``b_k`` strictly increase to at most ``m - 1``, so ``idx + k <=
+      b_k`` leaves as many larger values as the block has positions left.
 
-    The value placed at a position has as many inversions to its right as
-    there are smaller unused values, which gives the length.  The last value
-    always qualifies once the others do.  Ranks above :data:`weyl.RANK_LIMIT`
-    are refused.
+    The last ``J``-block needs no search: it takes the values left, sorted.
+    The tableau criterion says nothing at ``e = n``, and ``W^J`` increases
+    inside a block.  Any ``i`` in ``I`` placed earlier already has ``i + 1``
+    placed, or its block was refused; any other has ``i + 1`` left of it or
+    in the last block with it.  The value placed at a position has as many
+    inversions to its right as there are smaller unused values, which gives
+    the length; the last block adds none.  Ranks above
+    :data:`weyl.RANK_LIMIT` are refused.
     """
     n = len(tau)
     weyl._check_rank(n)
-    # room[p]: the positions after p in its block
-    room = [hi - p for lo, hi in weyl._position_blocks(J, n)
-            for p in range(lo, hi + 1)]
+    blocks = weyl._position_blocks(J, n)
+    # at[p]: the positions before p in its block
+    at = [p - lo for lo, hi in blocks for p in range(lo, hi + 1)]
+    # outside[p]: the Gale counts at the end of the block that p starts
+    outside = {lo - 1: weyl._outside(tau, hi) for lo, hi in blocks[:-1]}
+    last = blocks[-1][0] - 1
     out: list[tuple[int, Perm]] = []
     t = [0] * n
 
-    def walk(p: int, rest: Perm, diff: list[int], ell: int) -> None:
-        if p >= n - 1:
-            t[p:] = rest
-            out.append((ell, tuple(t)))
-            return
-        b = tau[p]
-        z = b + 1
-        while z <= n and diff[z]:
-            z += 1
-        start, stop = 0, len(rest) - room[p]
-        if p and room[p - 1]:  # p does not start a block
+    def walk(p: int, rest: Perm, mask: int, ell: int, bounds: list[int]) -> None:
+        k = at[p]
+        if not k:  # p starts a block
+            if p == last:
+                t[p:] = rest
+                out.append((ell, tuple(t)))
+                return
+            bounds = weyl._gale_bounds(mask, outside[p])[1]
+        start, stop = 0, bounds[k] - k + 1
+        if k:
             prev = t[p - 1]
             start = bisect.bisect(rest, prev)
             if prev in I and start < stop and rest[start] == prev + 1:
                 stop = start + 1
-        closes = not room[p]
+        closes = k + 1 == len(bounds)
         for idx in range(start, stop):
             a = rest[idx]
-            if a >= z:
-                break
             if closes and a in I and idx + 1 < len(rest) and rest[idx + 1] == a + 1:
                 continue
-            d = diff[:]
-            if a < b:
-                for j in range(a + 1, b + 1):
-                    d[j] += 1
-            else:
-                for j in range(b + 1, a + 1):
-                    d[j] -= 1
             t[p] = a
-            walk(p + 1, rest[:idx] + rest[idx + 1:], d, ell + idx)
+            walk(p + 1, rest[:idx] + rest[idx + 1:], mask | 1 << a, ell + idx, bounds)
 
-    walk(0, tuple(range(1, n + 1)), [0] * (n + 1), 0)
+    walk(0, tuple(range(1, n + 1)), 0, 0, [])
     return out
 
 
@@ -288,8 +295,10 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
 
 def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
     """The unique minimal Levi-stable element: the coset representative of
-    the longest element of ``W_I``.  Its variety is the Levi orbit through
-    the base point.  For ``J`` empty it is the longest element of ``W_I``.
+    the longest element of ``W_I``, which is the largest element of the
+    identity's double coset in ``W^J`` (:func:`_deal`).  Its variety is the
+    Levi orbit through the base point.  For ``J`` empty it is the longest
+    element of ``W_I``.
 
     >>> minimal_head((), {2}, 4)
     (1, 3, 2, 4)
@@ -301,4 +310,4 @@ def minimal_head(J: Iterable[int], I: Iterable[int], n: int) -> Perm:
 
 
 def _minimal_head(J: frozenset[int], I: frozenset[int], n: int) -> Perm:
-    return weyl._min_coset_rep(weyl._longest_element(I, n), J)
+    return _deal(weyl.identity(n), J, I, True)

@@ -250,14 +250,6 @@ def _min_coset_rep(w: Perm, J: frozenset[int]) -> Perm:
     return tuple(out)
 
 
-def _longest_element(J: frozenset[int], n: int) -> Perm:
-    """Longest element of ``W_J``: each position block reversed."""
-    out = list(range(1, n + 1))
-    for lo, hi in _position_blocks(J, n):
-        out[lo - 1:hi] = range(hi, lo - 1, -1)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _quotient_reps(n: int, J: frozenset[int]) -> tuple[Perm, ...]:
     """``W^J`` in lex order."""
@@ -374,20 +366,12 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     lists nothing in ``W^J`` and has no rank cap.
 
     An ``x`` in ``W^J`` is the chain of its prefix sets at the block ends of
-    ``J``.  By the tableau criterion (Bjorner-Brenti, Sec. 2.6), ``x <= w``
-    iff at each end ``e < n`` the set ``{x_1..x_e}`` lies below
-    ``{w_1..w_e}`` in Gale order, and a block taking the unused values at
+    ``J``, and ``x <= w`` iff each of them passes the Gale bounds of its
+    block (:func:`_gale_bounds`).  A block taking the unused values at
     indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2`` inversions;
     the last block adds none.  A state is the bitmask of the values used;
     its polynomial is packed into one int, a slot per coefficient wide
-    enough for ``n!``.  Every block reads one bound.  With ``u_0 < u_1 <
-    ...`` the unused values and ``G(v)`` the count of values ``<= v``
-    outside ``{w_1..w_e}``, the new set lies below ``w``'s iff for every
-    ``v`` at most ``G(v)`` unused values ``<= v`` stay unchosen.  Asked at
-    each ``u_c`` this is ``c_k <= b_k``, where ``b_k`` is the first ``c``
-    with ``c + 1 - G(u_c) >= k``.  That value grows by at most one per step
-    and never passes ``s`` (the used values lie below ``w``'s earlier
-    prefix set), so one scan finds exactly ``b_1 < ... < b_s``.  The last
+    enough for ``n!``.  Every block reads one bound per state.  The last
     block processed builds no states: it multiplies each state's
     polynomial by the count of its choices (:func:`_diagram_count`)."""
     n = len(w)
@@ -397,18 +381,11 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     slot = math.factorial(n).bit_length()
     polys, total = {0: 1}, 0
     for lo, hi in blocks:
-        prefix = set(w[:hi])
-        outside = list(itertools.accumulate(
-            (v not in prefix for v in range(1, n + 1)), initial=0))
+        outside = _outside(w, hi)
         size = hi - lo + 1
         new_polys: dict[int, int] = {}
         for mask, poly in polys.items():
-            bits, bounds = [], []
-            for v in range(1, n + 1):
-                if not mask >> v & 1:
-                    bits.append(1 << v)
-                    if len(bits) - outside[v] > len(bounds):
-                        bounds.append(len(bits) - 1)
+            bits, bounds = _gale_bounds(mask, outside)
             if hi == blocks[-1][1]:
                 # a_k = c_k - (k - 1); no carry: each coefficient counts x <= w
                 total += poly * _diagram_count(
@@ -428,6 +405,43 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
         coeffs.append(total & full)
         total >>= slot
     return tuple(coeffs)
+
+
+def _outside(w: Perm, e: int) -> list[int]:
+    """``outside[v]``: the values ``<= v`` outside ``{w_1..w_e}``, the ``G``
+    of :func:`_gale_bounds` at the prefix end ``e``."""
+    prefix = set(w[:e])
+    return list(itertools.accumulate(
+        (v not in prefix for v in range(1, len(w) + 1)), initial=0))
+
+
+def _gale_bounds(mask: int, outside: list[int]) -> tuple[list[int], list[int]]:
+    """``(bits, bounds)`` for the ``J``-block that ends at ``e``, after a
+    prefix whose values are the bits of ``mask``, where ``outside`` is
+    :func:`_outside` of ``w`` at ``e``: the bit of each unused value,
+    smallest first, and the block's Gale bounds.  The one Bruhat rule on
+    ``W^J`` of :func:`_prefix_dp` and of the head walk in
+    :mod:`levischubert.levi`.
+
+    By the tableau criterion (Bjorner-Brenti, Sec. 2.6), an ``x`` in
+    ``W^J`` lies below ``w`` iff at each block end ``e < n`` of ``J`` the
+    set ``{x_1..x_e}`` lies below ``{w_1..w_e}`` in Gale order.  With
+    ``u_0 < u_1 < ...`` the unused values and ``G = outside``, a block of
+    ``s`` positions that takes the unused values at indices ``c_1 < ... <
+    c_s`` keeps its set below ``w``'s iff for every ``v`` at most ``G(v)``
+    unused values ``<= v`` stay unchosen.  Asked at each ``u_c`` this is
+    ``c_k <= b_k``, where ``b_k`` is the first ``c`` with ``c + 1 - G(u_c)
+    >= k``.  That value grows by at most one per step and never passes
+    ``s`` (the used values lie below ``w``'s earlier prefix set), so one
+    scan finds exactly ``b_1 < ... < b_s``, listed from index 0."""
+    bits: list[int] = []
+    bounds: list[int] = []
+    for v in range(1, len(outside)):
+        if not mask >> v & 1:
+            bits.append(1 << v)
+            if len(bits) - outside[v] > len(bounds):
+                bounds.append(len(bits) - 1)
+    return bits, bounds
 
 
 def _diagram_count(limits: Sequence[int], slot: int) -> int:

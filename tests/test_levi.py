@@ -133,6 +133,12 @@ def stable_below_filter(tau, J, I):
             if oracles.rank_leq(t, tau) and I <= stabilizer(t, J)]
 
 
+# the J with |W^J| <= 1260 at n = 8: |W^J| is 8! over the order of W_J
+SMALL_QUOTIENTS_8 = [
+    J for J in subsets(range(1, 8))
+    if math.factorial(8) <= 1260 * math.prod(math.factorial(len(b)) for b in levi.blocks(J, 8))]
+
+
 class TestStableBelow:
     """The pruned walk behind ``levi.heads_below`` against a filter of all
     of ``W^J``."""
@@ -157,9 +163,11 @@ class TestStableBelow:
 
     @settings(max_examples=30)
     @given(st.data())
-    def test_matches_filter_at_ranks_6_7(self, data):
-        n = data.draw(st.integers(6, 7), label="n")
-        J = data.draw(st.frozensets(st.integers(1, n - 1)), label="J")
+    def test_matches_filter_at_ranks_6_to_8(self, data):
+        n = data.draw(st.integers(6, 8), label="n")
+        # at rank 8 only the J with |W^J| <= 1260, which the filter lists cheaply
+        J = data.draw(st.sampled_from(SMALL_QUOTIENTS_8) if n == 8
+                      else st.frozensets(st.integers(1, n - 1)), label="J")
         x = data.draw(st.permutations(range(1, n + 1)), label="x")
         tau = weyl.min_coset_rep(tuple(x), J)
         # half the Levis stabilize tau, so that the head set is rarely empty
@@ -176,6 +184,34 @@ class TestStableBelow:
             bisect=lambda *a: calls.append(a) or bisect.bisect(*a)))
         got = levi._stable_below((7, 6, 5, 4, 3, 1, 2), frozenset({6}), frozenset())
         assert len(got) == 2520 and calls == []
+
+    def test_last_block_is_placed_without_a_search(self, monkeypatch):
+        # J = {5, 6}: positions 1-4 are blocks of one, so only the last
+        # block, positions 5-7, continues a block; the walk takes it as the
+        # values left, sorted, where a search would bisect at 6 and 7
+        calls = []
+        monkeypatch.setattr(levi, "bisect", types.SimpleNamespace(
+            bisect=lambda *a: calls.append(a) or bisect.bisect(*a)))
+        got = levi._stable_below((7, 6, 5, 4, 1, 2, 3), frozenset({5, 6}), frozenset())
+        assert len(got) == 840 and calls == []
+
+    def test_prunes_by_the_prefix_dp_gale_bounds(self, monkeypatch):
+        # one Bruhat rule on W^J: the walk behind heads_below and the
+        # prefix-set DP both read weyl._gale_bounds, and the walk makes no
+        # Bruhat test of its own
+        calls = []
+        for name in ("_gale_bounds", "bruhat_leq"):
+            fn = getattr(weyl, name)
+            monkeypatch.setattr(weyl, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        levi._stable_below((4, 5, 7, 6, 1, 2, 3), frozenset({2, 5}), frozenset({3}))
+        assert calls and set(calls) == {"_gale_bounds"}
+        calls.clear()
+        assert len(levi.heads_below((3, 4, 1, 2), (), {2}).heads) == 7
+        assert "_gale_bounds" in calls
+        calls.clear()
+        assert weyl._prefix_dp((3, 4, 1, 2), frozenset()) == (1, 3, 5, 4, 1)
+        assert set(calls) == {"_gale_bounds"}
 
 
 class TestDoubleCosetEnds:
@@ -298,10 +334,11 @@ class TestHeadsBelow:
 
     def test_tau_as_its_own_boundary_fails_loudly(self, monkeypatch):
         # a coset top is a proper head: one that came out as tau itself is
-        # refused, though tau is a head the walk listed
+        # refused, though tau is a head the walk listed; the top of the
+        # identity's double coset, the minimal head, is left as it is
         deal = levi._deal
         monkeypatch.setattr(levi, "_deal", lambda x, J, I, top:
-                            (3, 4, 1, 2) if top else deal(x, J, I, top))
+                            (3, 4, 1, 2) if top and x != (1, 2, 3, 4) else deal(x, J, I, top))
         with pytest.raises(RuntimeError, match=r"\(3, 4, 1, 2\)\]"):
             levi.heads_below((3, 4, 1, 2), (), {2})
 
