@@ -112,13 +112,13 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
 
     * Bruhat: the Gale bounds of :func:`weyl._gale_bounds`, the one rule
       that :func:`weyl._prefix_dp` reads too, taken at each ``J``-block
-      start from the mask of the values used.  At the ``k``-th position of
-      the block (from 0) the ``k`` values placed in it are smaller than any
-      candidate, so index ``idx`` into the unused values ``rest`` is index
-      ``idx + k`` of those unused at the block start, and it is allowed iff
-      ``idx + k <= bounds[k]``.  The bound is exact within a block: the
-      ``b_k`` strictly increase, so ``c_k <= b_k`` always leaves ``c_{k+1}
-      = c_k + 1`` open.
+      start from ``rest``, the values still unused, sorted.  At the
+      ``k``-th position of the block (from 0) the ``k`` values placed in it
+      are smaller than any candidate, so index ``idx`` into ``rest`` is
+      index ``idx + k`` of those unused at the block start, and it is
+      allowed iff ``idx + k <= bounds[k]``.  The bound is exact within a
+      block: the ``b_k`` strictly increase, so ``c_k <= b_k`` always
+      leaves ``c_{k+1} = c_k + 1`` open.
     * Stability: ``i`` in ``I`` needs ``i + 1`` left of it or in its own
       block (:func:`max_levi`'s closed form), so after ``i`` comes ``i + 1``
       unless it is already placed, and a block may not end in such an ``i``.
@@ -147,14 +147,14 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
     out: list[tuple[int, Perm]] = []
     t = [0] * n
 
-    def walk(p: int, rest: Perm, mask: int, ell: int, bounds: list[int]) -> None:
+    def walk(p: int, rest: Perm, ell: int, bounds: list[int]) -> None:
         k = at[p]
         if not k:  # p starts a block
             if p == last:
                 t[p:] = rest
                 out.append((ell, tuple(t)))
                 return
-            bounds = weyl._gale_bounds(mask, outside[p])[1]
+            bounds = weyl._gale_bounds(rest, outside[p])
         start, stop = 0, bounds[k] - k + 1
         if k:
             prev = t[p - 1]
@@ -167,9 +167,9 @@ def _stable_below(tau: Perm, J: frozenset[int], I: frozenset[int]
             if closes and a in I and idx + 1 < len(rest) and rest[idx + 1] == a + 1:
                 continue
             t[p] = a
-            walk(p + 1, rest[:idx] + rest[idx + 1:], mask | 1 << a, ell + idx, bounds)
+            walk(p + 1, rest[:idx] + rest[idx + 1:], ell + idx, bounds)
 
-    walk(0, tuple(range(1, n + 1)), 0, 0, [])
+    walk(0, tuple(range(1, n + 1)), 0, [])
     return out
 
 

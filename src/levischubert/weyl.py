@@ -316,7 +316,8 @@ def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
     holds a value between ``w_j < w_i`` (Bjorner-Brenti, Sec. 2.1), so one
     pass per ``i`` keeps ``best``, the largest value below ``w_i`` seen to
     its right, and ``(i, j)`` is a cover iff ``best < w_j < w_i``: O(n^2)
-    in all.  Covers outside ``W^J`` are dropped.
+    in all.  A cover is kept iff it lies in ``W^J``, which only the two
+    moved positions' outer neighbours can decide (:func:`_lower_covers`).
 
     >>> sorted(lower_covers((3, 4, 1, 2)))
     [(1, 4, 3, 2), (2, 4, 1, 3), (3, 1, 4, 2), (3, 2, 1, 4)]
@@ -325,17 +326,26 @@ def lower_covers(w: Perm, J: Iterable[int] = ()) -> frozenset[Perm]:
 
 
 def _lower_covers(w: Perm, J: frozenset[int]) -> frozenset[Perm]:
+    """:func:`lower_covers` of a ``w`` that must lie in ``W^J``.
+
+    Swapping 0-based positions ``i < j``, values ``top > best``, leaves
+    every other position alone.  ``w`` increases inside each position
+    block of ``J``, so ``j`` lies in a later block than ``i``; right of
+    ``i`` its block holds values above ``top > best``, and left of ``j``
+    its block values below ``best < top``, so both blocks still increase
+    away from the moved entries.  Hence the cover lies in ``W^J`` iff
+    ``(i not in J or w[i - 1] < best)`` and ``(j + 1 not in J or top <
+    w[j + 1])``, and only then is it built."""
     covers = set()
     for i, top in enumerate(w):
         best = 0
         for j in range(i + 1, len(w)):
             if best < w[j] < top:
                 best = w[j]
-                t = list(w)
-                t[i], t[j] = best, top
-                t = tuple(t)
-                if right_descents(t).isdisjoint(J):
-                    covers.add(t)
+                if (i not in J or w[i - 1] < best) and (j + 1 not in J or top < w[j + 1]):
+                    t = list(w)
+                    t[i], t[j] = best, top
+                    covers.add(tuple(t))
     return frozenset(covers)
 
 
@@ -371,21 +381,25 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
     indices ``c_1 < ... < c_s`` adds ``sum(c_k) - s(s - 1)/2`` inversions;
     the last block adds none.  A state is the bitmask of the values used;
     its polynomial is packed into one int, a slot per coefficient wide
-    enough for ``n!``.  Every block reads one bound per state.  The last
-    block processed builds no states: it multiplies each state's
-    polynomial by the count of its choices (:func:`_diagram_count`)."""
+    enough for ``n!``.  Every block reads a state's unused values off its
+    mask once, and from them its Gale bounds; a pick of index ``c`` sets
+    the bit of ``unused[c]``.  The last block processed builds no states:
+    it multiplies each state's polynomial by the count of its choices
+    (:func:`_diagram_count`)."""
     n = len(w)
     blocks = _position_blocks(J, n)[:-1]
     if not blocks:
         return (1,)
     slot = math.factorial(n).bit_length()
+    value_bits = [(v, 1 << v) for v in range(1, n + 1)]
     polys, total = {0: 1}, 0
     for lo, hi in blocks:
         outside = _outside(w, hi)
         size = hi - lo + 1
         new_polys: dict[int, int] = {}
         for mask, poly in polys.items():
-            bits, bounds = _gale_bounds(mask, outside)
+            unused = [v for v, bit in value_bits if not mask & bit]
+            bounds = _gale_bounds(unused, outside)
             if hi == blocks[-1][1]:
                 # a_k = c_k - (k - 1); no carry: each coefficient counts x <= w
                 total += poly * _diagram_count(
@@ -394,7 +408,7 @@ def _prefix_dp(w: Perm, J: frozenset[int]) -> tuple[int, ...]:
             # every c_1 < ... < c_s with c_k <= b_k, as (mask, exponent, next c)
             picks = [(mask, -size * (size - 1) // 2, 0)]
             for b in bounds:
-                picks = [(m | bits[c], t + c, c + 1) for m, t, first in picks
+                picks = [(m | 1 << unused[c], t + c, c + 1) for m, t, first in picks
                          for c in range(first, b + 1)]
             for m, t, _ in picks:
                 new_polys[m] = new_polys.get(m, 0) + (poly << t * slot)
@@ -415,13 +429,12 @@ def _outside(w: Perm, e: int) -> list[int]:
         (v not in prefix for v in range(1, len(w) + 1)), initial=0))
 
 
-def _gale_bounds(mask: int, outside: list[int]) -> tuple[list[int], list[int]]:
-    """``(bits, bounds)`` for the ``J``-block that ends at ``e``, after a
-    prefix whose values are the bits of ``mask``, where ``outside`` is
-    :func:`_outside` of ``w`` at ``e``: the bit of each unused value,
-    smallest first, and the block's Gale bounds.  The one Bruhat rule on
-    ``W^J`` of :func:`_prefix_dp` and of the head walk in
-    :mod:`levischubert.levi`.
+def _gale_bounds(unused: Sequence[int], outside: list[int]) -> list[int]:
+    """The Gale bounds of the ``J``-block that ends at ``e``, after a prefix
+    that left the values ``unused``, sorted, where ``outside`` is
+    :func:`_outside` of ``w`` at ``e``.  The one Bruhat rule on ``W^J`` of
+    :func:`_prefix_dp` and of the head walk in :mod:`levischubert.levi`,
+    read off the unused values that each search already holds.
 
     By the tableau criterion (Bjorner-Brenti, Sec. 2.6), an ``x`` in
     ``W^J`` lies below ``w`` iff at each block end ``e < n`` of ``J`` the
@@ -434,14 +447,11 @@ def _gale_bounds(mask: int, outside: list[int]) -> tuple[list[int], list[int]]:
     >= k``.  That value grows by at most one per step and never passes
     ``s`` (the used values lie below ``w``'s earlier prefix set), so one
     scan finds exactly ``b_1 < ... < b_s``, listed from index 0."""
-    bits: list[int] = []
     bounds: list[int] = []
-    for v in range(1, len(outside)):
-        if not mask >> v & 1:
-            bits.append(1 << v)
-            if len(bits) - outside[v] > len(bounds):
-                bounds.append(len(bits) - 1)
-    return bits, bounds
+    for c, v in enumerate(unused):
+        if c - outside[v] >= len(bounds):  # c + 1 - G(u_c) >= k, k = len(bounds) + 1
+            bounds.append(c)
+    return bounds
 
 
 def _diagram_count(limits: Sequence[int], slot: int) -> int:
@@ -455,8 +465,6 @@ def _diagram_count(limits: Sequence[int], slot: int) -> int:
     >>> hex(_diagram_count((1, 2), 8))
     '0x1020101'
     """
-    if len(limits) == 1:
-        return ((1 << (limits[0] + 1) * slot) - 1) // ((1 << slot) - 1)
     ends = [1]
     for limit in limits:
         below, nxt = 0, []

@@ -234,6 +234,35 @@ class TestQuotientReps:
             for J in (frozenset(range(1, n - 1)), frozenset(range(2, n))):
                 assert weyl._prefix_dp(top_of(n, J), J) == (1,) * n
 
+    def test_trailing_free_run_takes_permutations(self, monkeypatch):
+        # a trailing run of free positions is filled by permutations of the
+        # values left, not by one combination per position
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            def permutations(self, values):
+                calls.append(("permutations", len(values)))
+                return itertools.permutations(values)
+
+            def combinations(self, values, r):
+                calls.append(("combinations", r))
+                return itertools.combinations(values, r)
+
+        J = frozenset({1, 2})  # blocks {1, 2, 3}, {4}, {5}, {6}
+        expected = (tuple(itertools.permutations(range(1, 7))),
+                    tuple(oracles.quotient_perms(6, J)))
+        monkeypatch.setattr(weyl, "itertools", Spy())
+        reps = weyl._quotient_reps.__wrapped__
+        assert reps(6, frozenset()) == expected[0]
+        assert calls == [("permutations", 6)]
+        calls.clear()
+        assert reps(6, J) == expected[1]
+        # one permutations call of the run of three per first-block choice
+        assert [c for c in calls if c[0] == "permutations"] == [("permutations", 3)] * 20
+
 
 class TestLowerCovers:
     def test_identity_has_none(self):
@@ -293,6 +322,19 @@ class TestLowerCovers:
                         z != tau and z != w
                         and weyl.bruhat_leq(tau, z) and weyl.bruhat_leq(z, w)
                         for z in reps)
+
+    def test_tests_only_the_moved_positions(self, monkeypatch):
+        # a swap of positions i < j keeps an element of W^J inside W^J
+        # unless it breaks a block next to i or next to j, so the scan
+        # builds no descent set
+        cases = [(w, J) for J in oracles.subsets(range(1, 6))
+                 for w in weyl.quotient_reps(6, J)]
+        calls = []
+        fn = weyl.right_descents
+        monkeypatch.setattr(weyl, "right_descents", lambda w: calls.append(w) or fn(w))
+        for w, J in cases:
+            assert weyl._lower_covers(w, J) == oracles.covers_by_length(w, J), (w, J)
+        assert len(cases) == 4683 and calls == []
 
 
 class TestPoincare:
@@ -538,6 +580,41 @@ class TestGrassmannPoincare:
         finally:
             weyl._poincare.cache_clear()
         assert len(cases) == 114 and calls == []
+
+
+class TestGaleBounds:
+    """``_gale_bounds`` against Gale order by its definition: two sets of
+    one size, sorted, compared entrywise."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bounds_decide_gale_order_exhaustively(self, n):
+        values = range(1, n + 1)
+        for w in itertools.permutations(values):
+            for start, e in itertools.combinations(range(n + 1), 2):
+                outside = weyl._outside(w, e)
+                for used in itertools.combinations(values, start):
+                    if not gale_leq(used, w[:start]):
+                        continue
+                    unused = [v for v in values if v not in used]
+                    bounds = weyl._gale_bounds(unused, outside)
+                    assert len(bounds) == e - start, (w, start, e, used)
+                    for chosen in itertools.combinations(range(len(unused)), e - start):
+                        below = gale_leq(used + tuple(unused[c] for c in chosen), w[:e])
+                        assert below == all(c <= b for c, b in zip(chosen, bounds)), (
+                            w, e, used, chosen)
+
+
+class TestDiagramCount:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_enumeration(self, s):
+        # 0 <= a_1 <= ... <= a_s <= 5: at most C(9, 4) = 126 sequences, so
+        # each coefficient fits in a byte
+        slot = 8
+        for limits in itertools.product(range(6), repeat=s):
+            expected = sum(1 << sum(a) * slot
+                           for a in itertools.combinations_with_replacement(range(6), s)
+                           if all(x <= limit for x, limit in zip(a, limits)))
+            assert weyl._diagram_count(limits, slot) == expected, limits
 
 
 def interval_count(w, J):
