@@ -6,6 +6,9 @@ are comma-separated simple-root indices ("1,3,4"); ``--d k`` selects the
 Grassmannian quotient omitting only position k.  The command line only
 turns this text into integers, reads ``--n`` by ``weyl.require_rank`` and
 checks that ``--w`` has ``--n`` entries; the library entries check the rest.
+``analyze`` reads its minimal head off the ``levi.heads_below`` report,
+whose first head is checked against the closed form, and takes the closed
+form ``levi._minimal_head`` itself only when there is no head.
 
 Exit codes: 0 ok, 1 violation found in a verification sweep, 2 usage
 error (a bound that yields no instances included), 3 rank limit exceeded,
@@ -21,7 +24,9 @@ the top-level parser refuses what it leaves over as unrecognized
 arguments; any other argv (empty, ``-h``, an unknown name, an option
 first) goes to the top-level parser.  Either way the result, the messages
 and the exit codes are those of ``build_parser().parse_args``, which would
-scan every argument twice.
+scan every argument twice.  An unknown subcommand or ``--check`` name is
+refused in the package's words, not argparse's, which change between
+CPython releases (3.13.13 drops the quotes around the choices).
 ``canonical_json`` and the text format encode through two C encoders
 built at import, and a sweep writes each of its JSON lines with a single
 ``write``.  The encoders are CPython's ``_json`` accelerator, used without
@@ -71,6 +76,27 @@ def _emit(obj: dict, fmt: str) -> None:
         print(f"{key}: {''.join(_C_ENCODE_TEXT(obj[key], 0))}")
 
 
+def _invalid_choice(word: str, names: Sequence[str]) -> str:
+    """The refusal of ``word`` outside ``names``, worded as argparse
+    worded it up to CPython 3.13.0, whatever the interpreter's argparse
+    says."""
+    return f"invalid choice: {word!r} (choose from {', '.join(map(repr, names))})"
+
+
+class _TopParser(argparse.ArgumentParser):
+    """The top-level parser, which refuses an unknown subcommand itself
+    (a first word that does not start with ``-``) with the words of
+    :func:`_invalid_choice`; argparse would word it by its version."""
+
+    commands: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if args and not args[0].startswith("-") and args[0] not in self.commands:
+            self.error(f"argument command: {_invalid_choice(args[0], self.commands)}")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
@@ -78,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _build() -> tuple[argparse.ArgumentParser, argparse.Action]:
     """The parser and its ``add_subparsers`` action, whose ``choices`` map
     each subcommand's name to its parser."""
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="levischubert",
         description="Levi actions on type A Schubert varieties.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
 
     def instance_command(name, summary, run, add_flags):
         """A subcommand on one instance: ``--n`` and ``--w``, the flags
@@ -125,7 +152,15 @@ def _build() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     p = sub.add_parser("sweep", help="exhaustive verification sweeps")
     p.set_defaults(run=_cmd_sweep)
-    p.add_argument("--check", required=True, choices=sorted(sweeps.SWEEPS))
+    checks = sorted(sweeps.SWEEPS)
+
+    def check(word):
+        if word not in checks:
+            raise argparse.ArgumentTypeError(_invalid_choice(word, checks))
+        return word
+
+    p.add_argument("--check", required=True, type=check,
+                   metavar=f"{{{','.join(checks)}}}")
     p.add_argument("--max-n", type=int, default=None,
                    help="rank bound (m bound for classify-codim)")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -135,6 +170,7 @@ def _build() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p.add_argument("--max-m", type=int, default=1000)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
+    parser.commands = tuple(sub.choices)
     return parser, sub
 
 
@@ -185,7 +221,8 @@ def _cmd_analyze(args) -> int:
         "length": weyl.length(w),
         "max_levi": sorted(stab),
         "stable": I <= stab,
-        "minimal_head": list(levi.minimal_head(J, I, n)),  # even with no head
+        # the closed form, checked against the walk's first head if any
+        "minimal_head": list(report.minimal_head or levi._minimal_head(J, I, n)),
         "boundary": ([list(h) for h in sorted(report.maximal_proper_heads)]
                      if I <= stab else None),
     }

@@ -254,15 +254,20 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     so no element of ``W^J`` is tested one by one; that walk refuses ranks
     above :data:`weyl.RANK_LIMIT`.  There must be heads exactly when
     :func:`minimal_head` lies below ``tau``, and then the first head must
-    be it and lie below every head, or ``RuntimeError`` is raised.
+    be it, or ``RuntimeError`` is raised.
 
     The heads are the largest elements in ``W^J`` of the double cosets
     ``W_I * x * W_J`` (:func:`_deal`), and Bruhat order between double
     cosets reads the same on their least elements as on their largest
     (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Sec. 2.5).  Write
-    ``floor(x)`` and ``ceil(x)`` for those two ends.  When ``tau`` is
-    ``I``-stable, its boundary is the Bruhat-maximal ``ceil(c)`` over the
-    lower covers ``c`` of ``floor(tau)`` in ``W^J``.  A proper head
+    ``floor(x)`` and ``ceil(x)`` for those two ends.  The minimal head is
+    ``ceil(e)`` for the identity ``e``, and ``e <= floor(h)`` for every
+    head ``h``, so it lies below every head.  That is not re-checked per
+    head: ``TestMinimalHead`` in the test suite checks it on every stable
+    element of ``W^J`` at ``n <= 6`` and on sampled double cosets at
+    ``n = 7, 8``.  When ``tau`` is ``I``-stable, its boundary is the
+    Bruhat-maximal ``ceil(c)`` over the lower covers ``c`` of
+    ``floor(tau)`` in ``W^J``.  A proper head
     ``h < tau`` lies in a lower double coset, so ``floor(h) < floor(tau)``.
     ``W^J`` is graded, so ``floor(h) <= c`` for some such cover ``c``.
     Hence ``h <= ceil(c) <= tau``, and ``ceil(c) != tau`` because ``c`` is
@@ -277,9 +282,8 @@ def heads_below(tau: Perm, J: Iterable[int], I: Iterable[int]) -> HeadReport:
     mh = _minimal_head(J, I, len(tau))
     found = [t for _, t in sorted(_stable_below(tau, J, I))]
     # mh is I-stable in W^J: there are heads iff it lies below tau, and
-    # then it is the first and least of them
-    if bool(found) != weyl.bruhat_leq(mh, tau) or (found and (
-            found[0] != mh or not all(weyl.bruhat_leq(mh, h) for h in found))):
+    # then it is the first of them
+    if bool(found) != weyl.bruhat_leq(mh, tau) or (found and found[0] != mh):
         raise RuntimeError(f"head set below {tau} has no unique minimum")
     # tau is I-stable iff it is a head, and then the walk lists it last
     if not found or found[-1] != tau:

@@ -274,6 +274,21 @@ class TestAnalyze:
                 expected = [list(h) for h in sorted(report.maximal_proper_heads)]
                 assert json.loads(out)["boundary"] == expected
 
+    @pytest.mark.parametrize("w, closed_forms", [("3,4,1,2", 1), ("1,2,3,4", 2)])
+    def test_minimal_head_read_off_the_report(self, capsys, monkeypatch, w, closed_forms):
+        # heads_below takes the closed form once and checks it against the
+        # walk's first head; analyze takes it again only when no head is
+        # listed, and never through the validating entry
+        calls = []
+        for name in ("minimal_head", "_minimal_head"):
+            fn = getattr(levi, name)
+            monkeypatch.setattr(levi, name, lambda J, I, n, fn=fn, name=name:
+                                calls.append(name) or fn(J, I, n))
+        code, out, _ = run_cli(capsys, "analyze", "--n", "4", "--w", w, "--levi", "2")
+        assert code == 0
+        assert json.loads(out)["minimal_head"] == [1, 3, 2, 4]
+        assert calls == ["_minimal_head"] * closed_forms
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--n", "4", "--w", "3,4,1,2", "--levi", "2",
@@ -692,6 +707,24 @@ class TestDispatch:
         assert (result, out) == (("exit", 2), "")
         assert err.startswith("usage: levischubert")
         assert (result, out, err) == reference
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["frobnicate"], "levischubert: error: argument command: invalid choice: "
+         "'frobnicate' (choose from 'analyze', 'heads', 'toroidal', 'bp', "
+         "'sweep', 'classify')"),
+        (["sweep", "--check", "nonsense"], "levischubert sweep: error: argument "
+         "--check: invalid choice: 'nonsense' (choose from "
+         + ", ".join(map(repr, sorted(sweeps.SWEEPS))) + ")"),
+    ], ids=["frobnicate", "sweep --check nonsense"])
+    def test_invalid_choice_is_worded_by_the_package(self, both_routes, monkeypatch,
+                                                     argv, refusal):
+        # argparse words its own refusal by version (CPython 3.13.13 drops the
+        # quotes); a gettext hook that rewords it must not reach these bytes
+        monkeypatch.setattr(argparse, "_", lambda text: text.replace(
+            "invalid choice", "not a choice"))
+        for result, out, err in both_routes(argv):
+            assert (result, out) == (("exit", 2), "")
+            assert err.splitlines()[-1] == refusal
 
     @pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"]], ids=" ".join)
     def test_help_alike(self, both_routes, argv):
