@@ -43,8 +43,8 @@ class BPDecomposition(NamedTuple):
     def to_json(self) -> dict:
         support = is_bp_support(self)
         return {
-            "v": list(self.v),
-            "u": list(self.u),
+            "v": self.v,
+            "u": self.u,
             "bp": support,
             "characterizations": {
                 "maximality": is_bp_maximality(self),
@@ -157,11 +157,11 @@ class TransportStep(NamedTuple):
     def to_json(self) -> dict:
         return {
             "omitted": self.omitted,
-            "v": list(self.v),
-            "u": list(self.u),
+            "v": self.v,
+            "u": self.u,
             "bp": self.is_bp,
             "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness else None,
+            "witness": self.witness,
         }
 
 
@@ -174,7 +174,7 @@ class TransportReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "w": list(self.subject),
+            "w": self.subject,
             "parabolic": sorted(self.J),
             "levi": sorted(self.levi),
             "steps": [s.to_json() for s in self.steps],

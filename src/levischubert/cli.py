@@ -29,9 +29,12 @@ refused in the package's words, not argparse's, which change between
 CPython releases (3.13.13 drops the quotes around the choices).
 ``canonical_json`` and the text format encode through two C encoders
 built at import, and a sweep writes each of its JSON lines with a single
-``write``.  The encoders are CPython's ``_json`` accelerator, used without
-the ``json`` package; there is no pure-Python fallback, so an interpreter
-without it fails to import this module.
+``write``.  Replies and sweep records hold the package's own tuples (a
+permutation, a list of heads, ``levi.blocks``), which the encoders write
+as JSON arrays exactly as ``json.dumps`` does.  The encoders are CPython's
+``_json`` accelerator, used without the ``json`` package; there is no
+pure-Python fallback, so an interpreter without it fails to import this
+module.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from _json import encode_basestring_ascii, make_encoder
 from typing import Optional, Sequence
@@ -83,16 +87,22 @@ def _invalid_choice(word: str, names: Sequence[str]) -> str:
     return f"invalid choice: {word!r} (choose from {', '.join(map(repr, names))})"
 
 
+#: A first word that argparse reads as a positional: one that does not
+#: start with "-", the bare "-", or a negative number by argparse's own
+#: pattern (the top-level parser has no option that looks like one).
+_POSITIONAL = re.compile(r"(?!-)|-\Z|-\d+$|-\d*\.\d+$")
+
+
 class _TopParser(argparse.ArgumentParser):
     """The top-level parser, which refuses an unknown subcommand itself
-    (a first word that does not start with ``-``) with the words of
+    (a first word that argparse reads as a positional) with the words of
     :func:`_invalid_choice`; argparse would word it by its version."""
 
     commands: tuple[str, ...] = ()
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        if args and not args[0].startswith("-") and args[0] not in self.commands:
+        if args and args[0] not in self.commands and _POSITIONAL.match(args[0]):
             self.error(f"argument command: {_invalid_choice(args[0], self.commands)}")
         return super().parse_known_args(args, namespace)
 
@@ -215,16 +225,15 @@ def _cmd_analyze(args) -> int:
         **report.to_json(),
         "command": "analyze",
         "n": n,
-        "w": list(w),
+        "w": w,
         "parabolic": sorted(J),
         "levi": sorted(I),
         "length": weyl.length(w),
         "max_levi": sorted(stab),
         "stable": I <= stab,
         # the closed form, checked against the walk's first head if any
-        "minimal_head": list(report.minimal_head or levi._minimal_head(J, I, n)),
-        "boundary": ([list(h) for h in sorted(report.maximal_proper_heads)]
-                     if I <= stab else None),
+        "minimal_head": report.minimal_head or levi._minimal_head(J, I, n),
+        "boundary": sorted(report.maximal_proper_heads) if I <= stab else None,
     }
     _emit(out, args.format)
     return 0

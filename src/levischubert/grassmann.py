@@ -43,7 +43,7 @@ class GrassmannSchubert(_GrassmannFields):
         return weyl._omitting(self.d, self.n)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "d": self.d, "w": list(self.w)}
+        return {"n": self.n, "d": self.d, "w": self.w}
 
 
 def run_starts(x: GrassmannSchubert) -> tuple[int, ...]:

@@ -194,9 +194,9 @@ class HeadReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "heads": [list(h) for h in self.heads],
-            "minimal_head": list(self.minimal_head) if self.minimal_head else None,
-            "maximal_proper_heads": [list(h) for h in self.maximal_proper_heads],
+            "heads": self.heads,
+            "minimal_head": self.minimal_head,
+            "maximal_proper_heads": self.maximal_proper_heads,
         }
 
 

@@ -3,7 +3,9 @@
 Each sweep yields one record per instance with an ``ok`` flag; a False
 flag is a genuine counterexample to the theorem the sweep encodes.  The
 CLI streams the records as JSON lines; the acceptance suite asserts that
-no record fails.
+no record fails.  A record holds the package's own tuples (its ``w``, a
+divisor, the sorted Levi of ``head-oracle``, built once per rank and
+shared by every record of it); the encoder writes each as a JSON array.
 """
 
 from __future__ import annotations
@@ -47,13 +49,13 @@ def head_oracle(max_n: int) -> Iterator[dict]:
     """Block criterion vs the closed form of :func:`levi.max_levi`, over
     every Grassmann permutation and every Levi."""
     for n, xs in itertools.groupby(_all_grassmann(max_n), lambda x: x.n):
-        levis = [(I, sorted(I)) for I in _powerset(range(1, n))]
+        levis = [(I, tuple(sorted(I))) for I in _powerset(range(1, n))]
         for x in xs:
             stab = levi._max_levi(x.w, x.quotient)
             for I, listed in levis:
                 yield {
                     "check": "head-oracle", "n": n, "d": x.d,
-                    "w": list(x.w), "levi": listed[:],
+                    "w": x.w, "levi": listed,
                     "ok": levi.is_degree1_head(x, I) == (I <= stab),
                 }
 
@@ -75,8 +77,8 @@ def divisor_stability(max_n: int) -> Iterator[dict]:
                 claim = (starts[idx - 1] - 1) not in I
                 yield {
                     "check": "divisor-stability", "n": x.n, "d": x.d,
-                    "w": list(x.w), "levi": sorted(I),
-                    "divisor": list(div),
+                    "w": x.w, "levi": sorted(I),
+                    "divisor": div,
                     "ok": claim == (I <= div_stab[idx]),
                 }
 
@@ -88,7 +90,7 @@ def smooth_unique_head(max_n: int) -> Iterator[dict]:
         if grassmann.is_smooth(x):
             yield {
                 "check": "smooth-unique-head", "n": x.n, "d": x.d,
-                "w": list(x.w), "ok": toroidal.unique_head_check(x),
+                "w": x.w, "ok": toroidal.unique_head_check(x),
             }
 
 
@@ -99,7 +101,7 @@ def singular_no_stable_divisor(max_n: int) -> Iterator[dict]:
         if not grassmann.is_smooth(x):
             yield {
                 "check": "singular-no-stable-divisor", "n": x.n, "d": x.d,
-                "w": list(x.w), "ok": toroidal.no_stable_divisor_check(x),
+                "w": x.w, "ok": toroidal.no_stable_divisor_check(x),
             }
 
 
@@ -115,7 +117,7 @@ def bp_equivalence(max_n: int) -> Iterator[dict]:
                 yield {
                     "check": "bp-equivalence", "n": n,
                     "parabolic": sorted(J), "quotient": sorted(K),
-                    "w": list(w), "bp": c, "ok": a == b == c,
+                    "w": w, "bp": c, "ok": a == b == c,
                 }
 
 
@@ -132,7 +134,7 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
                 for tau, _, kind in bp.project_divisors(d):
                     yield {
                         "check": "projection-dichotomy", "n": n,
-                        "w": list(w), "divisor": list(tau),
+                        "w": w, "divisor": tau,
                         "quotient": sorted(K), "kind": kind,
                         "ok": kind != bp.NEITHER,
                     }
@@ -146,7 +148,7 @@ def smooth_palindromic(max_n: int) -> Iterator[dict]:
         pal = weyl.is_palindromic(weyl._poincare(x.w, x.quotient))
         yield {
             "check": "smooth-palindromic", "n": x.n, "d": x.d,
-            "w": list(x.w), "ok": smooth == pal,
+            "w": x.w, "ok": smooth == pal,
         }
 
 

@@ -46,11 +46,11 @@ class ToroidalReport(NamedTuple):
         runs = {div: idx for idx, div in grassmann.run_divisors(self.subject)}
         return {
             "subject": self.subject.to_json(),
-            "levi": {"indices": sorted(self.levi), "blocks": [
-                list(b) for b in levi.blocks(self.levi, self.subject.n)]},
-            "divisors": [{"w": list(c.divisor), "run": runs[c.divisor],
+            "levi": {"indices": sorted(self.levi),
+                     "blocks": levi.blocks(self.levi, self.subject.n)},
+            "divisors": [{"w": c.divisor, "run": runs[c.divisor],
                           "stable": c.stable, "criterion": c.criterion,
-                          "witness": list(c.witness) if c.witness else None}
+                          "witness": c.witness}
                          for c in self.divisors],
             "verdict": self.verdict,
         }

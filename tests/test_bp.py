@@ -117,9 +117,11 @@ class TestCharacterizations:
         assert bp.poincare_factorizes(got)
         data = got.to_json()
         assert data == {
-            "v": [2, 3, 1], "u": [2, 1, 3], "bp": True,
+            "v": (2, 3, 1), "u": (2, 1, 3), "bp": True,
             "characterizations": {
                 "maximality": True, "support": True, "poincare": True}}
+        # the record's own tuples, written as arrays only by the encoder
+        assert data["v"] is got.v and data["u"] is got.u
 
 
 class TestMaximality:
@@ -353,6 +355,14 @@ class TestTransport:
         assert set(data) == {
             "w", "parabolic", "levi", "steps", "certified_nontoroidal"}
         assert data["certified_nontoroidal"] is True
+
+    def test_json_holds_the_reports_own_tuples(self):
+        report = bp.nontoroidal_transport((6, 2, 5, 4, 3, 1), (), {1, 3, 4, 5})
+        data = report.to_json()
+        assert data["w"] is report.subject
+        for step, item in zip(report.steps, data["steps"], strict=True):
+            assert item["v"] is step.v and item["u"] is step.u
+            assert item["witness"] is step.witness
 
     def test_sound_against_the_direct_check_and_oracles(self):
         # every stable (w, J, I) at 2 <= n <= 5: each step's factors are the

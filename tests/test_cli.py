@@ -26,10 +26,12 @@ def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
-#: JSON values as the package writes them: no floats, any unicode text
+#: JSON values as the package writes them: no floats, any unicode text, and
+#: tuples (records and replies hold the package's own) as well as lists
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20)
 
@@ -712,10 +714,17 @@ class TestDispatch:
         (["frobnicate"], "levischubert: error: argument command: invalid choice: "
          "'frobnicate' (choose from 'analyze', 'heads', 'toroidal', 'bp', "
          "'sweep', 'classify')"),
+        # argparse reads the bare "-" and a negative number as positionals too
+        (["-"], "levischubert: error: argument command: invalid choice: "
+         "'-' (choose from 'analyze', 'heads', 'toroidal', 'bp', 'sweep', "
+         "'classify')"),
+        (["-1"], "levischubert: error: argument command: invalid choice: "
+         "'-1' (choose from 'analyze', 'heads', 'toroidal', 'bp', 'sweep', "
+         "'classify')"),
         (["sweep", "--check", "nonsense"], "levischubert sweep: error: argument "
          "--check: invalid choice: 'nonsense' (choose from "
          + ", ".join(map(repr, sorted(sweeps.SWEEPS))) + ")"),
-    ], ids=["frobnicate", "sweep --check nonsense"])
+    ], ids=["frobnicate", "-", "-1", "sweep --check nonsense"])
     def test_invalid_choice_is_worded_by_the_package(self, both_routes, monkeypatch,
                                                      argv, refusal):
         # argparse words its own refusal by version (CPython 3.13.13 drops the

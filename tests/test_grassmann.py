@@ -72,8 +72,9 @@ class TestConstruction:
         assert calls == [1]
 
     def test_json_shape(self):
-        assert GrassmannSchubert(2, (3, 4, 1, 2)).to_json() == {
-            "n": 4, "d": 2, "w": [3, 4, 1, 2]}
+        x = GrassmannSchubert(2, (3, 4, 1, 2))
+        assert x.to_json() == {"n": 4, "d": 2, "w": (3, 4, 1, 2)}
+        assert x.to_json()["w"] is x.w
 
 
 class TestRuns:

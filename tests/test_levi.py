@@ -675,7 +675,9 @@ class TestHeadReportJson:
         report = levi.heads_below((3, 4, 1, 2), (), {2})
         data = report.to_json()
         assert set(data) == {"heads", "minimal_head", "maximal_proper_heads"}
-        assert data["minimal_head"] == [1, 3, 2, 4]
+        assert data["minimal_head"] == (1, 3, 2, 4)
+        assert data["heads"] is report.heads
+        assert data["maximal_proper_heads"] is report.maximal_proper_heads
         empty = levi.heads_below((2, 1, 3), (), {2})
         assert empty.to_json()["minimal_head"] is None
 

@@ -158,13 +158,15 @@ class TestNecessaryConditions:
 class TestReportJson:
     def test_schema(self):
         x = GrassmannSchubert(2, (2, 6, 1, 3, 4, 5))
-        data = toroidal.toroidal_necessary(x, {1, 3, 4, 5}).to_json()
+        report = toroidal.toroidal_necessary(x, {1, 3, 4, 5})
+        data = report.to_json()
         assert set(data) == {"subject", "levi", "divisors", "verdict"}
-        assert data["subject"] == {"n": 6, "d": 2, "w": [2, 6, 1, 3, 4, 5]}
+        assert data["subject"] == {"n": 6, "d": 2, "w": (2, 6, 1, 3, 4, 5)}
         assert data["levi"]["indices"] == [1, 3, 4, 5]
-        assert data["levi"]["blocks"] == [[1, 2], [3, 4, 5, 6]]
-        for item in data["divisors"]:
+        assert data["levi"]["blocks"] == ((1, 2), (3, 4, 5, 6))
+        for check, item in zip(report.divisors, data["divisors"], strict=True):
             assert set(item) == {"w", "run", "stable", "criterion", "witness"}
+            assert item["w"] is check.divisor and item["witness"] is check.witness
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_run_labels_match_run_divisors(self, n):
