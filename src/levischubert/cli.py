@@ -27,14 +27,15 @@ and the exit codes are those of ``build_parser().parse_args``, which would
 scan every argument twice.  An unknown subcommand or ``--check`` name is
 refused in the package's words, not argparse's, which change between
 CPython releases (3.13.13 drops the quotes around the choices).
-``canonical_json`` and the text format encode through two C encoders
-built at import, and a sweep writes each of its JSON lines with a single
-``write``.  Replies and sweep records hold the package's own tuples (a
-permutation, a list of heads, ``levi.blocks``), which the encoders write
-as JSON arrays exactly as ``json.dumps`` does.  The encoders are CPython's
-``_json`` accelerator, used without the ``json`` package; there is no
-pure-Python fallback, so an interpreter without it fails to import this
-module.
+``canonical_json`` and the text format encode through the two C encoders
+that :mod:`levischubert.jsonl` builds at import.  Replies hold the
+package's own tuples (a permutation, a list of heads, ``levi.blocks``),
+which the encoders write as JSON arrays exactly as ``json.dumps`` does.
+A sweep yields ``(n, ok, line)`` rows, and :func:`_tally` counts them and
+writes each row's line, newline included, with a single ``write``.  A
+rank sweep builds its lines itself, from parts encoded once per shared
+loop; ``classify-codim`` yields dict records, which :func:`_rows` encodes
+one ``canonical_json`` call each.
 """
 
 from __future__ import annotations
@@ -44,32 +45,15 @@ import functools
 import os
 import re
 import sys
-from _json import encode_basestring_ascii, make_encoder
 from typing import Optional, Sequence
 
-from . import bp, classify, grassmann, levi, sweeps, toroidal, weyl
-
-
-def _refuse(obj):
-    """The default of both encoders: what JSON cannot hold is refused with
-    the ``TypeError`` that ``json.JSONEncoder.default`` raises."""
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-# The C encoders that ``json.dumps(obj, sort_keys=True, separators=(",",
-# ":"))`` and ``json.dumps(obj, sort_keys=True)`` would build on every call,
-# built once.  Their markers argument is None, so they keep no
-# circular-reference table: a shared one would keep the ids a failed encode
-# left in it and refuse a later encode of the same objects as circular.
-_C_ENCODE = make_encoder(
-    None, _refuse, encode_basestring_ascii, None, ":", ",", True, False, True)
-_C_ENCODE_TEXT = make_encoder(
-    None, _refuse, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+from . import bp, classify, grassmann, jsonl, levi, sweeps, toroidal, weyl
+from .jsonl import ENCODE
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, integers only."""
-    return "".join(_C_ENCODE(obj, 0))
+    return "".join(ENCODE(obj, 0))
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -77,7 +61,7 @@ def _emit(obj: dict, fmt: str) -> None:
         print(canonical_json(obj))
         return
     for key in sorted(obj):
-        print(f"{key}: {''.join(_C_ENCODE_TEXT(obj[key], 0))}")
+        print(f"{key}: {jsonl.text(obj[key])}")
 
 
 def _invalid_choice(word: str, names: Sequence[str]) -> str:
@@ -88,22 +72,35 @@ def _invalid_choice(word: str, names: Sequence[str]) -> str:
 
 
 #: A first word that argparse reads as a positional: one that does not
-#: start with "-", the bare "-", or a negative number by argparse's own
-#: pattern (the top-level parser has no option that looks like one).
-_POSITIONAL = re.compile(r"(?!-)|-\Z|-\d+$|-\d*\.\d+$")
+#: start with "-", the bare "-", a negative number by argparse's own
+#: pattern (the top-level parser has no option that looks like one), or a
+#: word holding a space that the parser's one option, -h/--help, does not
+#: take by its prefix ("-h..." or an abbreviation of "--help=").
+_POSITIONAL = re.compile(
+    r"(?!-)|-\Z|-\d+$|-\d*\.\d+$|(?!-h|--(?:h|he|hel|help)=)-.* ", re.S)
+#: A first word that argparse reads as -h, once or more, then a tail it
+#: cannot read as a flag: CPython up to 3.12 refuses it, and 3.13 prints
+#: the help and exits 0.
+_HELP_TAIL = re.compile(r"-h+([^-=h].*)", re.S)
 
 
 class _TopParser(argparse.ArgumentParser):
     """The top-level parser, which refuses an unknown subcommand itself
     (a first word that argparse reads as a positional) with the words of
-    :func:`_invalid_choice`; argparse would word it by its version."""
+    :func:`_invalid_choice`; argparse would word it by its version.  It
+    refuses a first word of ``-h`` and a tail on every version, in the
+    words argparse uses up to CPython 3.12."""
 
     commands: tuple[str, ...] = ()
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        if args and args[0] not in self.commands and _POSITIONAL.match(args[0]):
-            self.error(f"argument command: {_invalid_choice(args[0], self.commands)}")
+        if args and args[0] not in self.commands:
+            if _POSITIONAL.match(args[0]):
+                self.error(f"argument command: {_invalid_choice(args[0], self.commands)}")
+            tail = _HELP_TAIL.fullmatch(args[0])
+            if tail:
+                self.error(f"argument -h/--help: ignored explicit argument {tail[1]!r}")
         return super().parse_known_args(args, namespace)
 
 
@@ -261,29 +258,43 @@ def _cmd_bp(args) -> int:
     return 0
 
 
-def _tally(records, bound: str, check: str, echo: bool) -> tuple[int, int]:
-    """Count a sweep's records and its violations, writing each record as
-    a JSON line when ``echo``.  A sweep that yields no record is a usage
+def _tally(rows, bound: str, check: str, echo: bool) -> tuple[int, int]:
+    """Count a sweep's ``(n, ok, line)`` rows and its violations, writing
+    each row's line when ``echo``.  A sweep that yields no row is a usage
     error: ``bound`` names the flag and value that made it vacuous."""
     instances = 0
     violations = 0
-    for record in records:
+    write = sys.stdout.write
+    for _, ok, line in rows:
         instances += 1
-        if not record["ok"]:
+        if not ok:
             violations += 1
         if echo:
-            sys.stdout.write(canonical_json(record) + "\n")
+            write(line)
     if not instances:
         raise ValueError(f"{bound} yields no {check} instances")
     return instances, violations
 
 
+def _rows(check: str, bound: int, echo: bool):
+    """The rows of sweep ``check`` at ``bound``.  A rank sweep yields rows,
+    its lines built from parts encoded once per shared loop.
+    ``classify-codim`` keeps its dict records, each made a row here by its
+    own ``canonical_json`` call when ``echo``: the benchmark's tracer test
+    pins one such call per record of this sweep."""
+    fn = sweeps.SWEEPS[check][0]
+    if check != "classify-codim":
+        return fn(bound)
+    return ((record["m"], record["ok"], canonical_json(record) + "\n" if echo else "")
+            for record in fn(bound))
+
+
 def _cmd_sweep(args) -> int:
-    fn, default_bound, _ = sweeps.SWEEPS[args.check]
-    bound = args.max_n if args.max_n is not None else default_bound
-    instances, violations = _tally(fn(bound), f"--max-n {bound}", args.check,
-                                   echo=args.format == "json")
-    if args.format == "json":
+    bound = args.max_n if args.max_n is not None else sweeps.SWEEPS[args.check][1]
+    echo = args.format == "json"
+    instances, violations = _tally(_rows(args.check, bound, echo), f"--max-n {bound}",
+                                   args.check, echo)
+    if echo:
         print(canonical_json({"check": args.check, "instances": instances,
                               "violations": violations}))
     else:
@@ -292,7 +303,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    instances, violations = _tally(sweeps.classify_codim(args.max_m),
+    instances, violations = _tally(_rows("classify-codim", args.max_m, echo=False),
                                    f"--max-m {args.max_m}", "classify-codim",
                                    echo=False)
     out = {

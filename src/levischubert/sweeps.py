@@ -1,11 +1,15 @@
 """Exhaustive verification sweeps over all instances up to a rank bound.
 
-Each sweep yields one record per instance with an ``ok`` flag; a False
+Each rank sweep yields one ``(n, ok, line)`` row per instance: its rank,
+an ``ok`` flag, and its canonical JSON line, newline included.  A False
 flag is a genuine counterexample to the theorem the sweep encodes.  The
-CLI streams the records as JSON lines; the acceptance suite asserts that
-no record fails.  A record holds the package's own tuples (its ``w``, a
-divisor, the sorted Levi of ``head-oracle``, built once per rank and
-shared by every record of it); the encoder writes each as a JSON array.
+CLI writes the lines and counts the flags; the acceptance suite asserts
+that no row fails.  A value that a sweep's lines share is encoded once per
+loop that shares it and filled into a :func:`jsonl.line_format`:
+``head-oracle`` encodes each Levi once per rank and each ``x``'s ``d``,
+``n`` and ``w`` into its line formats once per ``x``, and
+``divisor-stability`` each divisor once per ``x`` and each Levi once per
+``I``.  ``classify-codim`` yields dict records; ``cli._rows`` says why.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from . import bp, classify, grassmann, levi, toroidal, weyl
+from . import bp, classify, grassmann, jsonl, levi, toroidal, weyl
 
 
 def _powerset(items: Iterable[int]) -> Iterator[frozenset[int]]:
@@ -33,7 +37,7 @@ def _subset_pairs(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
 
 def _ranks(max_n: int) -> range:
     """The ranks ``2..max_n`` a rank sweep covers; ``max_n`` is read by
-    :func:`weyl.require_int` and refused above the rank cap before any record."""
+    :func:`weyl.require_int` and refused above the rank cap before any row."""
     return range(2, weyl._check_rank(weyl.require_int(max_n, "max_n")) + 1)
 
 
@@ -45,22 +49,27 @@ def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
             yield from grassmann.all_grassmann(n, d)
 
 
-def head_oracle(max_n: int) -> Iterator[dict]:
+#: what a rank sweep yields per instance: its rank, whether it agrees with
+#: the theorem, and its canonical JSON line, newline included
+Row = tuple[int, bool, str]
+
+
+def head_oracle(max_n: int) -> Iterator[Row]:
     """Block criterion vs the closed form of :func:`levi.max_levi`, over
     every Grassmann permutation and every Levi."""
     for n, xs in itertools.groupby(_all_grassmann(max_n), lambda x: x.n):
-        levis = [(I, tuple(sorted(I))) for I in _powerset(range(1, n))]
+        levis = [(I, jsonl.dumps(sorted(I))) for I in _powerset(range(1, n))]
         for x in xs:
             stab = levi._max_levi(x.w, x.quotient)
+            # x's line for each verdict, with the Levi's text to fill in
+            line = [jsonl.line_format("levi", check="head-oracle", n=n, d=x.d,
+                                      w=x.w, ok=ok) for ok in (False, True)]
             for I, listed in levis:
-                yield {
-                    "check": "head-oracle", "n": n, "d": x.d,
-                    "w": x.w, "levi": listed,
-                    "ok": levi.is_degree1_head(x, I) == (I <= stab),
-                }
+                ok = levi.is_degree1_head(x, I) == (I <= stab)
+                yield n, ok, line[ok] % listed
 
 
-def divisor_stability(max_n: int) -> Iterator[dict]:
+def divisor_stability(max_n: int) -> Iterator[Row]:
     """The run-start lemma vs the closed form of :func:`levi.max_levi`,
     over every stable pair: lowering the run start ``a`` keeps the
     divisor ``I``-stable iff ``a - 1`` lies outside ``I``."""
@@ -70,42 +79,39 @@ def divisor_stability(max_n: int) -> Iterator[dict]:
             continue
         J = x.quotient
         starts = grassmann.run_starts(x)
-        stab_w = levi._max_levi(x.w, J)
-        div_stab = {idx: levi._max_levi(div, J) for idx, div in rds}
-        for I in _powerset(stab_w):
-            for idx, div in rds:
-                claim = (starts[idx - 1] - 1) not in I
-                yield {
-                    "check": "divisor-stability", "n": x.n, "d": x.d,
-                    "w": x.w, "levi": sorted(I),
-                    "divisor": div,
-                    "ok": claim == (I <= div_stab[idx]),
-                }
+        # per divisor: a - 1, its stabilizer, and its line for each verdict
+        divs = [(starts[idx - 1] - 1, levi._max_levi(div, J),
+                 [jsonl.line_format("levi", check="divisor-stability", n=x.n, d=x.d,
+                                    w=x.w, divisor=div, ok=ok) for ok in (False, True)])
+                for idx, div in rds]
+        for I in _powerset(levi._max_levi(x.w, J)):
+            listed = jsonl.dumps(sorted(I))
+            for below, div_stab, line in divs:
+                ok = (below not in I) == (I <= div_stab)
+                yield x.n, ok, line[ok] % listed
 
 
-def smooth_unique_head(max_n: int) -> Iterator[dict]:
+def smooth_unique_head(max_n: int) -> Iterator[Row]:
     """Smooth column pattern forces a unique head and an empty boundary
     for the maximal Levi."""
     for x in _all_grassmann(max_n):
         if grassmann.is_smooth(x):
-            yield {
-                "check": "smooth-unique-head", "n": x.n, "d": x.d,
-                "w": x.w, "ok": toroidal.unique_head_check(x),
-            }
+            ok = toroidal.unique_head_check(x)
+            yield x.n, ok, jsonl.line({"check": "smooth-unique-head", "n": x.n,
+                                       "d": x.d, "w": x.w, "ok": ok})
 
 
-def singular_no_stable_divisor(max_n: int) -> Iterator[dict]:
+def singular_no_stable_divisor(max_n: int) -> Iterator[Row]:
     """Singular varieties have no divisor stable under the maximal Levi,
     and every proper head sits in codimension >= 2."""
     for x in _all_grassmann(max_n):
         if not grassmann.is_smooth(x):
-            yield {
-                "check": "singular-no-stable-divisor", "n": x.n, "d": x.d,
-                "w": x.w, "ok": toroidal.no_stable_divisor_check(x),
-            }
+            ok = toroidal.no_stable_divisor_check(x)
+            yield x.n, ok, jsonl.line({"check": "singular-no-stable-divisor", "n": x.n,
+                                       "d": x.d, "w": x.w, "ok": ok})
 
 
-def bp_equivalence(max_n: int) -> Iterator[dict]:
+def bp_equivalence(max_n: int) -> Iterator[Row]:
     """The three factorization tests agree on every decomposition."""
     for n in _ranks(max_n):
         for J, K in _subset_pairs(n):
@@ -114,14 +120,15 @@ def bp_equivalence(max_n: int) -> Iterator[dict]:
                 a = bp.is_bp_maximality(d)
                 b = bp.is_bp_support(d)
                 c = bp.poincare_factorizes(d)
-                yield {
+                ok = a == b == c
+                yield n, ok, jsonl.line({
                     "check": "bp-equivalence", "n": n,
                     "parabolic": sorted(J), "quotient": sorted(K),
-                    "w": w, "bp": c, "ok": a == b == c,
-                }
+                    "w": w, "bp": c, "ok": ok,
+                })
 
 
-def projection_dichotomy(max_n: int) -> Iterator[dict]:
+def projection_dichotomy(max_n: int) -> Iterator[Row]:
     """For factoring decompositions of full-flag elements, every divisor
     projects onto the image or onto one of its divisors: none is
     classified ``bp.NEITHER``."""
@@ -132,24 +139,23 @@ def projection_dichotomy(max_n: int) -> Iterator[dict]:
                 if not bp.is_bp_support(d):
                     continue
                 for tau, _, kind in bp.project_divisors(d):
-                    yield {
+                    ok = kind != bp.NEITHER
+                    yield n, ok, jsonl.line({
                         "check": "projection-dichotomy", "n": n,
                         "w": w, "divisor": tau,
-                        "quotient": sorted(K), "kind": kind,
-                        "ok": kind != bp.NEITHER,
-                    }
+                        "quotient": sorted(K), "kind": kind, "ok": ok,
+                    })
 
 
-def smooth_palindromic(max_n: int) -> Iterator[dict]:
+def smooth_palindromic(max_n: int) -> Iterator[Row]:
     """Smooth column pattern iff the rank generating function is
     palindromic (rational smoothness, which in type A is smoothness)."""
     for x in _all_grassmann(max_n):
         smooth = grassmann.is_smooth(x)
         pal = weyl.is_palindromic(weyl._poincare(x.w, x.quotient))
-        yield {
-            "check": "smooth-palindromic", "n": x.n, "d": x.d,
-            "w": x.w, "ok": smooth == pal,
-        }
+        ok = smooth == pal
+        yield x.n, ok, jsonl.line({"check": "smooth-palindromic", "n": x.n,
+                                   "d": x.d, "w": x.w, "ok": ok})
 
 
 def classify_codim(max_m: int) -> Iterator[dict]:

@@ -345,3 +345,105 @@ def brute_force_checks(w, J, I):
         out.append((tau, False, "violated", least) if heads
                    else (tau, False, "criterion-2", None))
     return out
+
+
+# -- sweep records ------------------------------------------------------------
+# The per-record dict form of each rank sweep, as ``levischubert.sweeps``
+# yielded it before its lines were built from parts encoded once per shared
+# loop: the differential oracle of those lines, which must equal
+# ``cli.canonical_json`` of these records.  Unlike the rest of this module
+# they call the package, so that a check patched in it reaches both sides;
+# they import it when called, so this module still imports without it.
+
+
+def head_oracle_records(max_n):
+    from levischubert import levi, sweeps
+    for n, xs in itertools.groupby(sweeps._all_grassmann(max_n), lambda x: x.n):
+        levis = [(I, sorted(I)) for I in sweeps._powerset(range(1, n))]
+        for x in xs:
+            stab = levi._max_levi(x.w, x.quotient)
+            for I, listed in levis:
+                yield {"check": "head-oracle", "n": n, "d": x.d, "w": x.w, "levi": listed,
+                       "ok": levi.is_degree1_head(x, I) == (I <= stab)}
+
+
+def divisor_stability_records(max_n):
+    from levischubert import grassmann, levi, sweeps
+    for x in sweeps._all_grassmann(max_n):
+        rds = grassmann.run_divisors(x)
+        if not rds:
+            continue
+        J = x.quotient
+        starts = grassmann.run_starts(x)
+        stab_w = levi._max_levi(x.w, J)
+        div_stab = {idx: levi._max_levi(div, J) for idx, div in rds}
+        for I in sweeps._powerset(stab_w):
+            for idx, div in rds:
+                claim = (starts[idx - 1] - 1) not in I
+                yield {"check": "divisor-stability", "n": x.n, "d": x.d, "w": x.w,
+                       "levi": sorted(I), "divisor": div,
+                       "ok": claim == (I <= div_stab[idx])}
+
+
+def smooth_unique_head_records(max_n):
+    from levischubert import grassmann, sweeps, toroidal
+    for x in sweeps._all_grassmann(max_n):
+        if grassmann.is_smooth(x):
+            yield {"check": "smooth-unique-head", "n": x.n, "d": x.d, "w": x.w,
+                   "ok": toroidal.unique_head_check(x)}
+
+
+def singular_no_stable_divisor_records(max_n):
+    from levischubert import grassmann, sweeps, toroidal
+    for x in sweeps._all_grassmann(max_n):
+        if not grassmann.is_smooth(x):
+            yield {"check": "singular-no-stable-divisor", "n": x.n, "d": x.d,
+                   "w": x.w, "ok": toroidal.no_stable_divisor_check(x)}
+
+
+def bp_equivalence_records(max_n):
+    from levischubert import bp, sweeps, weyl
+    for n in sweeps._ranks(max_n):
+        for J, K in sweeps._subset_pairs(n):
+            for w in weyl.quotient_reps(n, J):
+                d = bp._decompose(w, J, K)
+                a = bp.is_bp_maximality(d)
+                b = bp.is_bp_support(d)
+                c = bp.poincare_factorizes(d)
+                yield {"check": "bp-equivalence", "n": n, "parabolic": sorted(J),
+                       "quotient": sorted(K), "w": w, "bp": c, "ok": a == b == c}
+
+
+def projection_dichotomy_records(max_n):
+    from levischubert import bp, sweeps, weyl
+    for n in sweeps._ranks(max_n):
+        for w in weyl.quotient_reps(n):
+            for K in sweeps._powerset(range(1, n)):
+                d = bp._decompose(w, frozenset(), K)
+                if not bp.is_bp_support(d):
+                    continue
+                for tau, _, kind in bp.project_divisors(d):
+                    yield {"check": "projection-dichotomy", "n": n, "w": w,
+                           "divisor": tau, "quotient": sorted(K), "kind": kind,
+                           "ok": kind != bp.NEITHER}
+
+
+def smooth_palindromic_records(max_n):
+    from levischubert import grassmann, sweeps, weyl
+    for x in sweeps._all_grassmann(max_n):
+        smooth = grassmann.is_smooth(x)
+        pal = weyl.is_palindromic(weyl._poincare(x.w, x.quotient))
+        yield {"check": "smooth-palindromic", "n": x.n, "d": x.d, "w": x.w,
+               "ok": smooth == pal}
+
+
+#: rank sweep name -> the dict form of its records
+SWEEP_RECORDS = {
+    "head-oracle": head_oracle_records,
+    "divisor-stability": divisor_stability_records,
+    "smooth-unique-head": smooth_unique_head_records,
+    "singular-no-stable-divisor": singular_no_stable_divisor_records,
+    "bp-equivalence": bp_equivalence_records,
+    "projection-dichotomy": projection_dichotomy_records,
+    "smooth-palindromic": smooth_palindromic_records,
+}

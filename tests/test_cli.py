@@ -13,6 +13,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from levischubert import bp, classify, cli, grassmann, levi, sweeps, toroidal, weyl
 
 
@@ -475,19 +476,36 @@ class TestSweep:
         assert all(rec["ok"] for rec in lines[:-1])
 
     def test_every_line_is_one_canonical_json_call(self, capsys, monkeypatch):
-        # the bench traces cli.canonical_json and expects one call per
-        # record plus one for the summary
+        # the bench traces cli.canonical_json on classify-codim and expects
+        # one call per record plus one for the summary
         calls = []
         encode = cli.canonical_json
         monkeypatch.setattr(cli, "canonical_json",
                             lambda obj: calls.append(1) or encode(obj))
         code, out, _ = run_cli(
-            capsys, "sweep", "--check", "smooth-palindromic", "--max-n", "5")
+            capsys, "sweep", "--check", "classify-codim", "--max-n", "12")
         assert code == 0
         summary = json_lines(out)[-1]
         assert summary["instances"] > 0
         assert len(calls) == summary["instances"] + 1
         assert len(out.splitlines()) == summary["instances"] + 1
+
+    @pytest.mark.parametrize("check, mutated", [
+        (check, mutated) for check in oracles.SWEEP_RECORDS for mutated in (False, True)],
+        ids=lambda value: {False: "golden", True: "mutant"}.get(value, value))
+    def test_rows_are_the_canonical_json_of_the_records(self, monkeypatch, check, mutated):
+        # each rank sweep's rows against the dict form of its records, at
+        # its largest JSON bound in the golden corpus, and under its MUTANTS
+        # entry, where some rows are violations
+        bound = max(int(e["argv"][4]) for e in GOLDEN if e["code"] == 0
+                    and e["argv"][:3] == ["sweep", "--check", check] and len(e["argv"]) == 5)
+        if mutated:
+            module, name, mutate, bound = MUTANTS[check]
+            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        rows = list(sweeps.SWEEPS[check][0](bound))
+        assert rows == [(r["n"], r["ok"], cli.canonical_json(r) + "\n")
+                        for r in oracles.SWEEP_RECORDS[check](bound)]
+        assert any(not ok for _, ok, _ in rows) == mutated
 
     def test_rank_cap(self, capsys):
         code, _, err = run_cli(
@@ -537,7 +555,7 @@ class TestSweep:
 
     def test_interrupt_ends_quietly(self, capsys, monkeypatch):
         def interrupted(bound):
-            yield {"check": "head-oracle", "ok": True}
+            yield 2, True, '{"check":"head-oracle","ok":true}\n'
             raise KeyboardInterrupt
         # the parser is built once per process, so the rigged sweep takes
         # the place of a registered one
@@ -554,8 +572,8 @@ class TestSweep:
 
     def test_violation_found_exits_one(self, capsys, monkeypatch):
         def rigged(bound):
-            yield {"check": "head-oracle", "ok": True}
-            yield {"check": "head-oracle", "ok": False}
+            yield 2, True, '{"check":"head-oracle","ok":true}\n'
+            yield 2, False, '{"check":"head-oracle","ok":false}\n'
         monkeypatch.setitem(sweeps.SWEEPS, "head-oracle", (rigged, 6, False))
         code, out, _ = run_cli(capsys, "sweep", "--check", "head-oracle",
                                "--format", "text")
@@ -594,8 +612,8 @@ class TestSharedParser:
             "analyze", "bp", "classify", "heads", "sweep", "toroidal")]
 
 
-GOLDEN_ARGVS = [entry["argv"] for entry in json.loads(
-    pathlib.Path(__file__).with_name("golden_cli.json").read_text())]
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
+GOLDEN_ARGVS = [entry["argv"] for entry in GOLDEN]
 
 
 def query_argv(rng):
@@ -721,10 +739,15 @@ class TestDispatch:
         (["-1"], "levischubert: error: argument command: invalid choice: "
          "'-1' (choose from 'analyze', 'heads', 'toroidal', 'bp', 'sweep', "
          "'classify')"),
+        # and a word holding a space that no option takes by its prefix
+        *[([word], "levischubert: error: argument command: invalid choice: "
+           f"{word!r} (choose from 'analyze', 'heads', 'toroidal', 'bp', 'sweep', "
+           "'classify')") for word in ("-a b", "--a b", "- b", "-x=1 y", "--h b")],
         (["sweep", "--check", "nonsense"], "levischubert sweep: error: argument "
          "--check: invalid choice: 'nonsense' (choose from "
          + ", ".join(map(repr, sorted(sweeps.SWEEPS))) + ")"),
-    ], ids=["frobnicate", "-", "-1", "sweep --check nonsense"])
+    ], ids=["frobnicate", "-", "-1", "-a b", "--a b", "- b", "-x=1 y", "--h b",
+            "sweep --check nonsense"])
     def test_invalid_choice_is_worded_by_the_package(self, both_routes, monkeypatch,
                                                      argv, refusal):
         # argparse words its own refusal by version (CPython 3.13.13 drops the
@@ -735,7 +758,19 @@ class TestDispatch:
             assert (result, out) == (("exit", 2), "")
             assert err.splitlines()[-1] == refusal
 
-    @pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"]], ids=" ".join)
+    @pytest.mark.parametrize("word, tail", [
+        ("-h b", " b"), ("-hx", "x"), ("-hh b", " b"), ("-h-", "-"), ("-h=x", "x"),
+        ("--he=x y", "x y")])
+    def test_help_with_a_tail_is_refused(self, both_routes, word, tail):
+        # CPython 3.13 reads "-hx" as -h and prints the help; every version
+        # refuses it here, with the words of the versions before
+        (result, out, err), reference = both_routes([word])
+        assert (result, out) == (("exit", 2), "")
+        assert err.splitlines()[-1] == (
+            f"levischubert: error: argument -h/--help: ignored explicit argument {tail!r}")
+        assert (result, out, err) == reference
+
+    @pytest.mark.parametrize("argv", [["-h"], ["-hh"], ["analyze", "-h"]], ids=" ".join)
     def test_help_alike(self, both_routes, argv):
         (result, out, err), reference = both_routes(argv)
         assert (result, err) == (("exit", 0), "")

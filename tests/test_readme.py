@@ -17,7 +17,8 @@ from test_bench_contract import traced_names
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 PACKAGE = ROOT / "src" / "levischubert"
-MODULES = ("weyl", "grassmann", "levi", "toroidal", "bp", "classify", "sweeps", "cli")
+MODULES = ("weyl", "grassmann", "levi", "toroidal", "bp", "classify", "sweeps", "jsonl",
+           "cli")
 NAME = re.compile(r"(?<![\w.])(%s)\.(\w+(?:\.\w+)*)" % "|".join(MODULES))
 
 
