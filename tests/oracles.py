@@ -10,6 +10,10 @@ descents from the inversion counts of value swaps, the degree-1 heads
 from scans of the subword interval, the ends of a double coset from the
 whole coset, and Grassmann permutations written down from their column
 sets.
+
+The one part that calls the package is :data:`SWEEP_RECORDS`, the
+differential oracle of the sweep lines: the per-record dict form of each
+rank sweep, whose ``cli.canonical_json`` each line of the sweep must equal.
 """
 
 from __future__ import annotations
@@ -348,12 +352,12 @@ def brute_force_checks(w, J, I):
 
 
 # -- sweep records ------------------------------------------------------------
-# The per-record dict form of each rank sweep, as ``levischubert.sweeps``
-# yielded it before its lines were built from parts encoded once per shared
-# loop: the differential oracle of those lines, which must equal
-# ``cli.canonical_json`` of these records.  Unlike the rest of this module
-# they call the package, so that a check patched in it reaches both sides;
-# they import it when called, so this module still imports without it.
+# The per-record dict form of each rank sweep, one dict per instance: the
+# differential oracle of the lines the sweep builds from parts encoded once
+# per shared loop, each of which must equal ``cli.canonical_json`` of its
+# record.  Unlike the rest of this module they call the package, so that a
+# check patched in it reaches both sides; they import it when called, so
+# this module still imports without it.
 
 
 def head_oracle_records(max_n):
