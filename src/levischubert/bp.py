@@ -15,7 +15,9 @@ defining identity enumerates, so only the ``bp`` report and the
 :func:`project_divisors` sorts every Schubert divisor of ``w`` by the
 dimension its image in ``W^K`` loses against ``v``: none, one, or more
 (:data:`NEITHER`); the projection sweep checks that a factoring
-decomposition never loses more.  :func:`nontoroidal_transport`
+decomposition never loses more.  It lists the divisors of each ``w`` once
+and hands them to the trusting core :func:`_project_divisors` for every
+``K``.  :func:`nontoroidal_transport`
 runs :func:`toroidal.divisor_checks` on each image ``v`` in a maximal ``W^K``.
 """
 
@@ -131,9 +133,17 @@ def project_divisors(d: BPDecomposition) -> tuple[tuple[Perm, Perm, str], ...]:
     (2, 3, 1) (2, 3, 1) onto-image
     (3, 1, 2) (1, 3, 2) unique-divisor
     """
+    return _project_divisors(d, weyl._lower_covers(d.w, d.J))
+
+
+def _project_divisors(d: BPDecomposition, covers: Iterable[Perm]
+                      ) -> tuple[tuple[Perm, Perm, str], ...]:
+    """:func:`project_divisors` of the divisors ``covers``, which must be
+    ``weyl.lower_covers(d.w, d.J)``: a caller that projects one ``w``
+    through many ``K`` lists them once."""
     top = weyl.length(d.v)
     out = []
-    for tau in weyl._lower_covers(d.w, d.J):
+    for tau in covers:
         image = weyl._min_coset_rep(tau, d.K)
         kind = (ONTO, DIVISOR, NEITHER)[min(top - weyl.length(image), 2)]
         out.append((tau, image, kind))

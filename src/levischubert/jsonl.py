@@ -53,12 +53,14 @@ def line_format(*slots: str, **fields) -> str:
     the keys of ``slots`` and ``fields``, as a ``%`` format: each slot is a
     ``%s`` that takes the JSON text of its value, and each field is written
     here.  The slots are filled in the order given, which must be the
-    sorted order of their keys, the order in which the line holds them.
+    strictly increasing order of their keys, the order in which the line
+    holds them: a repeated or unsorted slot, or a slot that is also a
+    field, is refused with ``ValueError``.
 
     >>> line_format("levi", check="head-oracle", n=3, ok=True) % dumps((1, 2))
     '{"check":"head-oracle","levi":[1,2],"n":3,"ok":true}\\n'
     """
-    if list(slots) != sorted(slots) or set(slots) & fields.keys():
+    if any(a >= b for a, b in zip(slots, slots[1:])) or set(slots) & fields.keys():
         raise ValueError(f"slots {slots!r} must be sorted and not among the fields")
     values = {key: dumps(value).replace("%", "%%") for key, value in fields.items()}
     values.update(dict.fromkeys(slots, "%s"))

@@ -6,10 +6,19 @@ flag is a genuine counterexample to the theorem the sweep encodes.  The
 CLI writes the lines and counts the flags; the acceptance suite asserts
 that no row fails.  A value that a sweep's lines share is encoded once per
 loop that shares it and filled into a :func:`jsonl.line_format`:
-``head-oracle`` encodes each Levi once per rank and each ``x``'s ``d``,
-``n`` and ``w`` into its line formats once per ``x``, and
-``divisor-stability`` each divisor once per ``x`` and each Levi once per
-``I``.  ``classify-codim`` yields dict records; ``cli._rows`` says why.
+
+- ``head-oracle`` encodes each Levi once per rank, and each ``x``'s ``d``,
+  ``n`` and ``w`` into its line formats once per ``x``;
+- ``divisor-stability`` makes its formats and encodes each Levi once per
+  rank, ``x``'s ``d`` and ``w`` once per ``x``, and each divisor once per
+  ``x``;
+- ``bp-equivalence`` makes one format per ``(n, J, K)`` and encodes each
+  ``w`` once per rank;
+- ``projection-dichotomy`` makes one format per ``(n, K)``, and lists and
+  encodes the divisors of each ``w`` once, for every ``K``.
+
+The other three rank sweeps encode each line whole.  ``classify-codim``
+yields dict records; ``cli._rows`` says why.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ def _all_grassmann(max_n: int) -> Iterator[grassmann.GrassmannSchubert]:
 #: the theorem, and its canonical JSON line, newline included
 Row = tuple[int, bool, str]
 
+#: the JSON text of False and True, indexed by the verdict
+_VERDICT = ("false", "true")
+
+#: the JSON text of each kind of projected divisor
+_KIND = {kind: jsonl.dumps(kind) for kind in (bp.ONTO, bp.DIVISOR, bp.NEITHER)}
+
 
 def head_oracle(max_n: int) -> Iterator[Row]:
     """Block criterion vs the closed form of :func:`levi.max_levi`, over
@@ -73,22 +88,26 @@ def divisor_stability(max_n: int) -> Iterator[Row]:
     """The run-start lemma vs the closed form of :func:`levi.max_levi`,
     over every stable pair: lowering the run start ``a`` keeps the
     divisor ``I``-stable iff ``a - 1`` lies outside ``I``."""
-    for x in _all_grassmann(max_n):
-        rds = grassmann.run_divisors(x)
-        if not rds:
-            continue
-        J = x.quotient
-        starts = grassmann.run_starts(x)
-        # per divisor: a - 1, its stabilizer, and its line for each verdict
-        divs = [(starts[idx - 1] - 1, levi._max_levi(div, J),
-                 [jsonl.line_format("levi", check="divisor-stability", n=x.n, d=x.d,
-                                    w=x.w, divisor=div, ok=ok) for ok in (False, True)])
-                for idx, div in rds]
-        for I in _powerset(levi._max_levi(x.w, J)):
-            listed = jsonl.dumps(sorted(I))
-            for below, div_stab, line in divs:
-                ok = (below not in I) == (I <= div_stab)
-                yield x.n, ok, line[ok] % listed
+    for n, xs in itertools.groupby(_all_grassmann(max_n), lambda x: x.n):
+        levis = {I: jsonl.dumps(sorted(I)) for I in _powerset(range(1, n))}
+        # the line for each verdict, with d, divisor, levi and w to fill in
+        line = [jsonl.line_format("d", "divisor", "levi", "w", check="divisor-stability",
+                                  n=n, ok=ok) for ok in (False, True)]
+        for x in xs:
+            rds = grassmann.run_divisors(x)
+            if not rds:
+                continue
+            J = x.quotient
+            starts = grassmann.run_starts(x)
+            d, w = jsonl.dumps(x.d), jsonl.dumps(x.w)
+            # per divisor: a - 1, its stabilizer, and its text
+            divs = [(starts[idx - 1] - 1, levi._max_levi(div, J), jsonl.dumps(div))
+                    for idx, div in rds]
+            for I in _powerset(levi._max_levi(x.w, J)):
+                listed = levis[I]
+                for below, div_stab, div in divs:
+                    ok = (below not in I) == (I <= div_stab)
+                    yield n, ok, line[ok] % (d, div, listed, w)
 
 
 def smooth_unique_head(max_n: int) -> Iterator[Row]:
@@ -114,18 +133,18 @@ def singular_no_stable_divisor(max_n: int) -> Iterator[Row]:
 def bp_equivalence(max_n: int) -> Iterator[Row]:
     """The three factorization tests agree on every decomposition."""
     for n in _ranks(max_n):
+        words = {w: jsonl.dumps(w) for w in weyl._quotient_reps(n, frozenset())}
         for J, K in _subset_pairs(n):
+            # the line, with bp, ok and w to fill in
+            line = jsonl.line_format("bp", "ok", "w", check="bp-equivalence", n=n,
+                                     parabolic=sorted(J), quotient=sorted(K))
             for w in weyl.quotient_reps(n, J):
                 d = bp._decompose(w, J, K)
                 a = bp.is_bp_maximality(d)
                 b = bp.is_bp_support(d)
                 c = bp.poincare_factorizes(d)
                 ok = a == b == c
-                yield n, ok, jsonl.line({
-                    "check": "bp-equivalence", "n": n,
-                    "parabolic": sorted(J), "quotient": sorted(K),
-                    "w": w, "bp": c, "ok": ok,
-                })
+                yield n, ok, line % (_VERDICT[c], _VERDICT[ok], words[w])
 
 
 def projection_dichotomy(max_n: int) -> Iterator[Row]:
@@ -133,18 +152,23 @@ def projection_dichotomy(max_n: int) -> Iterator[Row]:
     projects onto the image or onto one of its divisors: none is
     classified ``bp.NEITHER``."""
     for n in _ranks(max_n):
+        # per K, the line, with divisor, kind, ok and w to fill in
+        lines = [(K, jsonl.line_format("divisor", "kind", "ok", "w",
+                                       check="projection-dichotomy", n=n,
+                                       quotient=sorted(K)))
+                 for K in _powerset(range(1, n))]
         for w in weyl.quotient_reps(n):
-            for K in _powerset(range(1, n)):
+            # the divisors of w, which no K changes, and their texts
+            covers = weyl._lower_covers(w, frozenset())
+            divisors = [jsonl.dumps(tau) for tau in covers]
+            word = jsonl.dumps(w)
+            for K, line in lines:
                 d = bp._decompose(w, frozenset(), K)
                 if not bp.is_bp_support(d):
                     continue
-                for tau, _, kind in bp.project_divisors(d):
+                for divisor, (_, _, kind) in zip(divisors, bp._project_divisors(d, covers)):
                     ok = kind != bp.NEITHER
-                    yield n, ok, jsonl.line({
-                        "check": "projection-dichotomy", "n": n,
-                        "w": w, "divisor": tau,
-                        "quotient": sorted(K), "kind": kind, "ok": ok,
-                    })
+                    yield n, ok, line % (divisor, _KIND[kind], _VERDICT[ok], word)
 
 
 def smooth_palindromic(max_n: int) -> Iterator[Row]:

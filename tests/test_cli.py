@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from levischubert import bp, classify, cli, grassmann, levi, sweeps, toroidal, weyl
+from levischubert import bp, classify, cli, grassmann, jsonl, levi, sweeps, toroidal, weyl
 
 
 def run_cli(capsys, *argv):
@@ -507,6 +507,19 @@ class TestSweep:
                         for r in oracles.SWEEP_RECORDS[check](bound)]
         assert any(not ok for _, ok, _ in rows) == mutated
 
+    def test_projection_dichotomy_lists_each_w_s_divisors_once(self, monkeypatch):
+        # the divisors of w do not depend on K, so the sweep lists them once
+        # per w of S_2..S_5 (152), not once per factoring K (1,284)
+        calls = []
+        fn = weyl._lower_covers
+        monkeypatch.setattr(weyl, "_lower_covers",
+                            lambda w, J: calls.append((w, J)) or fn(w, J))
+        rows = list(sweeps.projection_dichotomy(5))
+        assert len(rows) == 4082
+        assert len(calls) == 152
+        assert calls == [(w, frozenset()) for n in range(2, 6)
+                         for w in weyl.quotient_reps(n)]
+
     def test_rank_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--check", "head-oracle", "--max-n", "9")
@@ -882,6 +895,43 @@ class TestJsonCanonical:
         cli.main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestLineFormat:
+    def test_slots_between_fields_fill_to_the_line(self):
+        # projection-dichotomy's shape: four slots, each sorting between or
+        # after the fields, filled in key order
+        record = {"check": "projection-dichotomy", "n": 4, "w": (3, 4, 1, 2),
+                  "divisor": (3, 2, 1, 4), "quotient": [1, 3],
+                  "kind": bp.DIVISOR, "ok": True}
+        fmt = jsonl.line_format("divisor", "kind", "ok", "w",
+                                check="projection-dichotomy", n=4, quotient=[1, 3])
+        filled = fmt % tuple(jsonl.dumps(record[key])
+                             for key in ("divisor", "kind", "ok", "w"))
+        assert filled == jsonl.line(record)
+
+    @given(st.dictionaries(st.text(max_size=4), JSON_VALUES, min_size=1, max_size=6),
+           st.data())
+    def test_any_slots_fill_to_the_line(self, record, data):
+        slots = sorted(data.draw(st.sets(st.sampled_from(sorted(record)))))
+        fields = {key: value for key, value in record.items() if key not in slots}
+        fmt = jsonl.line_format(*slots, **fields)
+        assert fmt % tuple(jsonl.dumps(record[key]) for key in slots) == jsonl.line(record)
+
+    def test_a_field_holding_a_percent_sign(self):
+        fmt = jsonl.line_format("w", check="100%s", n=3)
+        assert fmt % jsonl.dumps((2, 1, 3)) == \
+            '{"check":"100%s","n":3,"w":[2,1,3]}\n'
+
+    @pytest.mark.parametrize("slots, fields", [
+        (("w", "ok"), {}),
+        (("w", "w"), {"check": "x"}),
+        (("ok", "w", "w"), {}),
+        (("w",), {"w": (1, 2)}),
+    ], ids=["unsorted", "repeated", "repeated-last", "also-a-field"])
+    def test_refuses_slots_that_cannot_fill_the_line(self, slots, fields):
+        with pytest.raises(ValueError, match="must be sorted and not among the fields"):
+            jsonl.line_format(*slots, **fields)
 
 
 class TestStartup:
