@@ -9,9 +9,8 @@ loop that shares it and filled into a :func:`jsonl.line_format`:
 
 - ``head-oracle`` encodes each Levi once per rank, and each ``x``'s ``d``,
   ``n`` and ``w`` into its line formats once per ``x``;
-- ``divisor-stability`` makes its formats and encodes each Levi once per
-  rank, ``x``'s ``d`` and ``w`` once per ``x``, and each divisor once per
-  ``x``;
+- ``divisor-stability`` makes its two formats and encodes each Levi once
+  per rank, and each ``x``'s ``d``, ``w`` and divisors once per ``x``;
 - ``bp-equivalence`` makes one format per ``(n, J, K)`` and encodes each
   ``w`` once per rank;
 - ``projection-dichotomy`` makes one format per ``(n, K)``, and lists and
